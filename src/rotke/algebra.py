@@ -1,9 +1,10 @@
 """Exact coefficient arithmetic: multi-indices, symbolic unknowns, sparse polynomials.
 
 Everything downstream (series, curvature, constraint solving) works over
-`CoefPoly`, a sparse polynomial in named unknowns with Fraction coefficients.
-Numeric data is just the constant-polynomial special case, so a single code
-path serves both verification and symbolic constraint generation.
+`CoefPoly`, a sparse polynomial in named unknowns with exact rational
+coefficients.  Numeric data is just the constant-polynomial special case, so
+a single code path serves both verification and symbolic constraint
+generation.
 """
 
 from __future__ import annotations
@@ -96,15 +97,36 @@ EINSTEIN = Unknown(EINSTEIN_NAME, "einstein", None)
 # Sparse polynomials in unknowns
 #
 # A monomial in unknowns is a tuple of (name, exponent) pairs sorted by name;
-# () is the constant monomial.  Terms map monomials to nonzero Fractions.
+# () is the constant monomial.  Terms map monomials to nonzero exact
+# rationals: a Python int when the value is integral, a Fraction otherwise.
+# Potentials and determinants have integer coefficients, and int arithmetic
+# is several times cheaper than Fraction arithmetic; equality and hashing
+# agree between the two types, so only the constructors below normalize.
 # ---------------------------------------------------------------------------
 
 UMono = Tuple[Tuple[str, int], ...]
 
 RationalLike = Union[Fraction, int]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def exact_rational(value) -> RationalLike:
+    """value as an int when integral, else as a Fraction in lowest terms."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_quotient(a: RationalLike, b: RationalLike) -> RationalLike:
+    """a / b for b != 0, as an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return exact_rational(Fraction(a, b))
 
 
 def _umono_mul(a: UMono, b: UMono) -> UMono:
@@ -123,7 +145,7 @@ def _umono_key(mono: UMono):
 
 
 class CoefPoly:
-    """Sparse polynomial over Fractions in named unknowns.
+    """Sparse polynomial over the rationals in named unknowns.
 
     Immutable by convention; no zero coefficients are stored.
     """
@@ -140,7 +162,7 @@ class CoefPoly:
 
     @staticmethod
     def const(value: RationalLike) -> "CoefPoly":
-        value = Fraction(value)
+        value = exact_rational(value)
         return CoefPoly({(): value}) if value else CoefPoly()
 
     @staticmethod
@@ -158,7 +180,7 @@ class CoefPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((), _ZERO)
+        return Fraction(self.terms.get((), _ZERO))
 
     def unknowns(self) -> set:
         out = set()
@@ -205,7 +227,7 @@ class CoefPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "CoefPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CoefPoly):
             return self.scale(other)
         if not self.terms or not other.terms:
             return CoefPoly()
@@ -225,11 +247,15 @@ class CoefPoly:
     __rmul__ = __mul__
 
     def scale(self, k: RationalLike) -> "CoefPoly":
-        k = Fraction(k)
+        k = exact_rational(k)
         if not k:
             return CoefPoly()
+        terms = {}
+        for m, c in self.terms.items():
+            v = c * k
+            terms[m] = v.numerator if v.denominator == 1 else v
         res = CoefPoly.__new__(CoefPoly)
-        res.terms = {m: c * k for m, c in self.terms.items()}
+        res.terms = terms
         return res
 
     def __pow__(self, k: int) -> "CoefPoly":
@@ -282,7 +308,7 @@ class CoefPoly:
         return out
 
     def evaluate(self, assignment: Mapping[str, RationalLike]) -> Fraction:
-        total = _ZERO
+        total = Fraction(0)
         for mono, c in self.terms.items():
             v = c
             for name, e in mono:
@@ -301,14 +327,13 @@ class CoefPoly:
         denom_lcm = 1
         for c in self.terms.values():
             denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-        factor = Fraction(denom_lcm, num_gcd)
-        lead = max(self.terms, key=_umono_key)
-        if self.terms[lead] < 0:
-            factor = -factor
-        return self.scale(factor)
+        ints = {m: c.numerator * (denom_lcm // c.denominator) for m, c in self.terms.items()}
+        content = gcd(*ints.values())
+        if ints[max(ints, key=_umono_key)] < 0:
+            content = -content
+        res = CoefPoly.__new__(CoefPoly)
+        res.terms = {m: v // content for m, v in ints.items()}
+        return res
 
     def proportional_to(self, other: "CoefPoly") -> bool:
         """True if self = r * other for some nonzero rational r (both nonzero)."""

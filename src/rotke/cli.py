@@ -7,6 +7,7 @@ input-file errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -95,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-codim", type=int, default=3, metavar="K")
     p.add_argument("--deg-cap", type=int, default=None, metavar="C")
     p.add_argument("--degree", type=int, default=None, metavar="D", help="residual truncation degree")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes, at most the number of CPUs")
 
     p = sub.add_parser("induced", help="test whether e^Phi - 1 has nonnegative coefficients")
     add_common(p)
@@ -162,7 +164,7 @@ def cmd_sweep(args) -> int:
         args.max_codim,
         deg_cap=args.deg_cap,
         trunc=args.degree,
-        jobs=args.jobs,
+        jobs=min(args.jobs, os.cpu_count() or 1),
     )
     payload = reports.sweep_payload(report)
     text = reports.render_json(payload) if args.format == "json" else reports.sweep_text(payload)

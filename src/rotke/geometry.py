@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     CoefPoly,
@@ -208,14 +208,34 @@ def metric_in_x(P: Series) -> HessianX:
 # ---------------------------------------------------------------------------
 
 
-def _diag_products(diag: Sequence[Series], one: Series) -> List[Series]:
-    """prod_{a in mask} diag[a] for every bitmask, shared bottom-up."""
-    n = len(diag)
-    prods = [one] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        prods[mask] = prods[mask ^ (1 << low)] * diag[low]
-    return prods
+def _diag_products(diag: Sequence[Series], one: Series) -> Callable[[int, int], Series]:
+    """prod(mask, cap): prod_{a in mask} diag[a] with terms of degree <= cap.
+
+    Memoised and built on demand, so only the products a determinant asks
+    for are formed, each at the truncation it is used at.
+    """
+    memo: Dict[Tuple[int, int], Series] = {}
+
+    def prod(mask: int, cap: int) -> Series:
+        # prod(mask) = prod(mask minus its lowest bit) * diag[lowest bit];
+        # walk down to a memoised product, then multiply back up.  A loop,
+        # not recursion: a self-referencing closure would be a reference
+        # cycle, and the memo would outlive the determinant until the next
+        # garbage collection.
+        chain = []
+        while mask:
+            s = memo.get((mask, cap))
+            if s is not None:
+                break
+            chain.append(mask)
+            mask &= mask - 1
+        else:
+            s = one
+        for m in reversed(chain):
+            s = memo[(m, cap)] = s.mul_trunc(diag[(m & -m).bit_length() - 1], cap)
+        return s
+
+    return prod
 
 
 def _fixed_point_free_perms(elems: Tuple[int, ...]):
@@ -253,9 +273,9 @@ def cycle_determinant(n: int, diag: Sequence[Series], off, trunc: int) -> Series
     cycle support size, so inner products are truncated accordingly.
     """
     one = Series.one(n, trunc)
-    prods = _diag_products(diag, one)
+    prod_diag = _diag_products(diag, one)
     full = (1 << n) - 1
-    total = prods[full]
+    total = prod_diag(full, trunc)
     off_cache: Dict[Tuple[int, int], Series] = {}
 
     def off_at(a: int, b: int) -> Series:
@@ -280,7 +300,7 @@ def cycle_determinant(n: int, diag: Sequence[Series], off, trunc: int) -> Series
         mask = 0
         for a in subset:
             mask |= 1 << a
-        contrib = inner.mul_trunc(prods[full ^ mask], cap)
+        contrib = inner.mul_trunc(prod_diag(full ^ mask, cap), cap)
         mono = tuple(1 if a in subset else 0 for a in range(n))
         total = total + contrib.shift_monomial(mono)
     return total
@@ -342,7 +362,9 @@ def lambda_in_lowest_terms(lam: Fraction) -> Tuple[int, int]:
 def _poly_hash(s: Series) -> str:
     h = hashlib.sha256()
     for m, c in s.sorted_terms():
-        h.update(repr((m, sorted(c.terms.items()))).encode())
+        # Fraction(v): the hash must not depend on whether a coefficient is
+        # stored as int or as Fraction.
+        h.update(repr((m, [(u, Fraction(v)) for u, v in sorted(c.terms.items())])).encode())
     return h.hexdigest()
 
 

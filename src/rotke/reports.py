@@ -28,6 +28,28 @@ class SpecFileError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _json_int(value) -> bool:
+    """True for a JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_n(data: dict, where: str) -> int:
+    try:
+        n = data["n"]
+    except KeyError:
+        raise SpecFileError(f'{where}: missing field "n"') from None
+    if not _json_int(n) or n < 1:
+        raise SpecFileError(f'{where}.n: must be a positive integer')
+    return n
+
+
+def _parse_exponents(entry: dict, n: int, where: str) -> Tuple[int, ...]:
+    exps = entry["exponents"]
+    if not isinstance(exps, list) or len(exps) != n or any(not _json_int(e) or e < 0 for e in exps):
+        raise SpecFileError(f"{where}.exponents: need {n} nonnegative integers")
+    return tuple(exps)
+
+
 def _parse_coef(raw, where: str) -> Union[Fraction, str]:
     if isinstance(raw, str):
         try:
@@ -46,12 +68,7 @@ def parse_spec(data: dict, where: str = "spec") -> Tuple[PotentialSpec, Optional
     """
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: expected a JSON object")
-    try:
-        n = data["n"]
-    except KeyError:
-        raise SpecFileError(f'{where}: missing field "n"') from None
-    if not isinstance(n, int) or n < 1:
-        raise SpecFileError(f'{where}.n: must be a positive integer')
+    n = _parse_n(data, where)
     monomials = data.get("monomials", [])
     if not isinstance(monomials, list):
         raise SpecFileError(f'{where}.monomials: must be a list')
@@ -61,17 +78,17 @@ def parse_spec(data: dict, where: str = "spec") -> Tuple[PotentialSpec, Optional
         loc = f"{where}.monomials[{i}]"
         if not isinstance(entry, dict) or "exponents" not in entry or "coef" not in entry:
             raise SpecFileError(f"{loc}: need exponents and coef")
-        exps = entry["exponents"]
-        if not isinstance(exps, list) or len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
-            raise SpecFileError(f"{loc}.exponents: need {n} nonnegative integers")
+        exps = _parse_exponents(entry, n, loc)
         coef = _parse_coef(entry["coef"], f"{loc}.coef")
         if isinstance(coef, str):
             if coef in names_seen:
                 raise SpecFileError(f"{loc}.coef: duplicate symbol {coef!r}")
             names_seen.add(coef)
-            coef = Unknown(coef, "support", tuple(exps))
-        support.append((tuple(exps), coef))
-    induced = bool(data.get("induced", True))
+            coef = Unknown(coef, "support", exps)
+        support.append((exps, coef))
+    induced = data.get("induced", True)
+    if not isinstance(induced, bool):
+        raise SpecFileError(f"{where}.induced: must be true or false")
     try:
         spec = PotentialSpec(n, tuple(support), induced=induced)
     except ValueError as exc:
@@ -108,9 +125,7 @@ def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
     """
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: expected a JSON object")
-    n = data.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise SpecFileError(f'{where}.n: must be a positive integer')
+    n = _parse_n(data, where)
 
     def parse_terms(entries, loc, min_degree=0):
         terms = {}
@@ -118,15 +133,13 @@ def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
             sub = f"{loc}[{i}]"
             if not isinstance(entry, dict) or "exponents" not in entry or "coef" not in entry:
                 raise SpecFileError(f"{sub}: need exponents and coef")
-            exps = entry["exponents"]
-            if not isinstance(exps, list) or len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
-                raise SpecFileError(f"{sub}.exponents: need {n} nonnegative integers")
+            exps = _parse_exponents(entry, n, sub)
             if sum(exps) < min_degree:
                 raise SpecFileError(f"{sub}: degree must be >= {min_degree}")
             coef = _parse_coef(entry["coef"], f"{sub}.coef")
             if not isinstance(coef, Fraction):
                 raise SpecFileError(f"{sub}.coef: potentials must be numeric")
-            terms[tuple(exps)] = coef
+            terms[exps] = coef
         return terms
 
     if "series" in data:

@@ -9,10 +9,19 @@ error, never an implicit min.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Dict, Mapping, Optional, Tuple, Union
+from math import lcm
+from operator import add
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from .algebra import CoefPoly, MultiIndex, grlex_key, validate_multiindex
+from .algebra import (
+    CoefPoly,
+    MultiIndex,
+    RationalLike,
+    _umono_mul,
+    exact_quotient,
+    grlex_key,
+    validate_multiindex,
+)
 
 CoefLike = Union[CoefPoly, Fraction, int]
 
@@ -122,7 +131,7 @@ class Series:
     def mul_trunc(self, other: "Series", cap: int) -> "Series":
         """Cauchy product keeping only terms of total degree <= cap (<= trunc)."""
         cap = min(cap, self.trunc)
-        out: Dict[MultiIndex, CoefPoly] = {}
+        acc: Dict[MultiIndex, dict] = {}
         left = sorted(self.terms.items(), key=lambda kv: sum(kv[0]))
         right = sorted(other.terms.items(), key=lambda kv: sum(kv[0]))
         right_deg = [sum(m) for m, _ in right]
@@ -130,28 +139,43 @@ class Series:
             d1 = sum(m1)
             if d1 > cap:
                 break
+            t1 = c1.terms.items()
             for (m2, c2), d2 in zip(right, right_deg):
                 if d1 + d2 > cap:
                     break
-                m = tuple(a + b for a, b in zip(m1, m2))
-                p = c1 * c2
-                s = out.get(m)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return _raw(self.n, self.trunc, out)
+                _add_product(acc, tuple(map(add, m1, m2)), t1, c2.terms)
+        return _raw(self.n, self.trunc, _collect(acc, 1))
 
     def scale(self, k: CoefLike) -> "Series":
         p = _as_poly(k)
         if p.is_zero():
             return Series.zero(self.n, self.trunc)
+        if p.is_constant():
+            k = p.terms[()]
+            return _raw(self.n, self.trunc, {m: c.scale(k) for m, c in self.terms.items()})
         return _raw(self.n, self.trunc, {m: c * p for m, c in self.terms.items()})
 
     def pow_trunc(self, k: int) -> "Series":
+        """self^k, truncated.
+
+        With a nonzero numeric constant term c0, F = self^k satisfies
+        self * E(F) = k * F * E(self) for the Euler operator E, which acts on
+        the degree-d part as multiplication by d.  Hence
+        d c0 F_d = sum_{j>=1} ((k+1) j - d) self_j F_{d-j}: one pass instead
+        of repeated squaring (J.C.P. Miller; Knuth, TAOCP 2, 4.7).  It runs
+        on (D self)^k, D the common denominator of the coefficients, whose
+        coefficients are integers, so every division in it is exact and
+        stays on int; the result is divided by D^k once at the end.
+        """
         if k < 0:
             raise ValueError("negative powers are not defined for Series")
+        c0 = self.constant_term()
+        if k > 1 and c0.is_constant() and not c0.is_zero():
+            D = lcm(*(v.denominator for c in self.terms.values() for v in c.terms.values()))
+            f = self if D == 1 else self.scale(D)
+            c = c0.terms[()] * D
+            F = _degree_recurrence(f, CoefPoly.const(c ** k), lambda j, d: (k + 1) * j - d, lambda d: d * c)
+            return F if D == 1 else F.scale(Fraction(1, D ** k))
         result = Series.one(self.n, self.trunc)
         base = self
         while k:
@@ -232,17 +256,95 @@ def _raw(n: int, trunc: int, terms: Dict[MultiIndex, CoefPoly]) -> Series:
     return s
 
 
+def _add_product(acc: Dict[MultiIndex, dict], m: MultiIndex, t1, t2: dict) -> None:
+    """acc[m] += t1 * t2 for coefficient terms t1 (pairs) and t2 (a dict).
+
+    Sums are kept per unknown-monomial as plain numbers, so a Cauchy product
+    builds one CoefPoly per x-monomial, not two per pair of terms.
+    """
+    cell = acc.get(m)
+    if cell is None:
+        cell = acc[m] = {}
+    for u1, a in t1:
+        for u2, b in t2.items():
+            u = _umono_mul(u1, u2) if u1 and u2 else (u1 or u2)
+            cell[u] = cell.get(u, 0) + a * b
+
+
+def _collect(acc: Dict[MultiIndex, dict], q: RationalLike) -> Dict[MultiIndex, CoefPoly]:
+    """The nonzero coefficients of acc, each divided by q."""
+    out: Dict[MultiIndex, CoefPoly] = {}
+    for m, cell in acc.items():
+        if q == 1:
+            terms = {u: v for u, v in cell.items() if v}
+        else:
+            terms = {u: exact_quotient(v, q) for u, v in cell.items() if v}
+        if terms:
+            p = CoefPoly.__new__(CoefPoly)
+            p.terms = terms
+            out[m] = p
+    return out
+
+
+def _homogeneous_parts(s: Series) -> List[List[Tuple[MultiIndex, CoefPoly]]]:
+    """The terms of s grouped by total degree 0..trunc."""
+    parts: List[List[Tuple[MultiIndex, CoefPoly]]] = [[] for _ in range(s.trunc + 1)]
+    for m, c in s.terms.items():
+        parts[sum(m)].append((m, c))
+    return parts
+
+
+def _degree_recurrence(
+    f: Series,
+    g0: CoefPoly,
+    weight: Callable[[int, int], int],
+    divisor: Callable[[int], RationalLike],
+    plus: Optional[Series] = None,
+) -> Series:
+    """The series G with G_0 = g0 and, for d = 1..trunc,
+
+        G_d = plus_d + (sum_{j=1..d} weight(j, d) f_j G_{d-j}) / divisor(d),
+
+    f_j, G_d and plus_d being the homogeneous parts of total degree j and d.
+    One pass of |f| x |G| coefficient products.
+    """
+    n, trunc = f.n, f.trunc
+    f_parts = _homogeneous_parts(f)
+    plus_parts = _homogeneous_parts(plus) if plus is not None else None
+    zero = (0,) * n
+    out: Dict[MultiIndex, CoefPoly] = {}
+    g_parts: List[List[Tuple[MultiIndex, CoefPoly]]] = [[]]
+    if not g0.is_zero():
+        out[zero] = g0
+        g_parts[0].append((zero, g0))
+    for d in range(1, trunc + 1):
+        acc: Dict[MultiIndex, dict] = {}
+        for j in range(1, d + 1):
+            w = weight(j, d)
+            if not w or not g_parts[d - j]:
+                continue
+            for m1, c1 in f_parts[j]:
+                t1 = [(u, w * a) for u, a in c1.terms.items()]
+                for m2, c2 in g_parts[d - j]:
+                    _add_product(acc, tuple(map(add, m1, m2)), t1, c2.terms)
+        part = _collect(acc, divisor(d))
+        del acc
+        if plus_parts is not None:
+            for m, c in plus_parts[d]:
+                s = part.get(m)
+                s = c if s is None else s + c
+                if s.is_zero():
+                    part.pop(m, None)
+                else:
+                    part[m] = s
+        out.update(part)
+        g_parts.append(list(part.items()))
+    return _raw(n, trunc, out)
+
+
 # ---------------------------------------------------------------------------
 # Named operations
 # ---------------------------------------------------------------------------
-
-
-def series_add(f: Series, g: Series) -> Series:
-    return f + g
-
-
-def series_mul(f: Series, g: Series) -> Series:
-    return f * g
 
 
 def _require_zero_constant(u: Series, op: str):
@@ -251,29 +353,27 @@ def _require_zero_constant(u: Series, op: str):
 
 
 def series_log1p(u: Series) -> Series:
-    """log(1 + u) = sum_{k>=1} (-1)^(k+1) u^k / k, truncated."""
+    """L = log(1 + u), truncated; u must have zero constant term.
+
+    From (1 + u) E(L) = E(u) for the Euler operator E:
+    d L_d = d u_d - sum_{0<j<d} (d - j) u_j L_{d-j}.  It runs on N L with
+    N = lcm(1..trunc): L_d has denominators dividing lcm(1..d) when u has
+    integer coefficients, so then every division in it stays on int.
+    """
     _require_zero_constant(u, "series_log1p")
-    result = Series.zero(u.n, u.trunc)
-    power = Series.one(u.n, u.trunc)
-    for k in range(1, u.trunc + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction((-1) ** (k + 1), k))
-    return result
+    N = lcm(*range(1, u.trunc + 1))
+    NL = _degree_recurrence(u, CoefPoly(), lambda j, d: j - d, lambda d: d, plus=u.scale(N))
+    return NL.scale(Fraction(1, N))
 
 
 def series_exp(u: Series) -> Series:
-    """exp(u) = sum_{k>=0} u^k / k!, truncated; u must have zero constant term."""
+    """X = exp(u), truncated; u must have zero constant term.
+
+    From E(X) = X E(u) for the Euler operator E:
+    d X_d = sum_{j>=1} j u_j X_{d-j}.
+    """
     _require_zero_constant(u, "series_exp")
-    result = Series.one(u.n, u.trunc)
-    power = Series.one(u.n, u.trunc)
-    for k in range(1, u.trunc + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction(1, factorial(k)))
-    return result
+    return _degree_recurrence(u, CoefPoly.const(1), lambda j, d: j, lambda d: d)
 
 
 def series_diff(f: Series, alpha: int) -> Series:

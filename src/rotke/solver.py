@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (
@@ -22,6 +23,7 @@ from .algebra import (
     CoefPoly,
     MultiIndex,
     Unknown,
+    exact_quotient,
     grlex_key,
     mi_degree,
     mi_permute,
@@ -96,7 +98,7 @@ def _as_uni(poly: CoefPoly, name: str) -> Optional[List[Fraction]]:
     for mono, c in poly.terms.items():
         if len(mono) > 1 or (mono and mono[0][0] != name):
             return None
-        coeffs[mono[0][1] if mono else 0] = c
+        coeffs[mono[0][1] if mono else 0] = Fraction(c)
     deg = max(coeffs)
     return [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
 
@@ -166,7 +168,7 @@ def _rational_roots(coeffs: List[Fraction]) -> Tuple[List[Fraction], List[Fracti
         return sorted(set(roots)), coeffs
     denom_lcm = 1
     for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // __import__("math").gcd(denom_lcm, c.denominator)
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
     ints = [int(c * denom_lcm) for c in coeffs]
     candidates = set()
     for p in _divisors(ints[0]):
@@ -203,7 +205,10 @@ def _uni_to_poly(name: str, coeffs: Sequence[Fraction]) -> CoefPoly:
 
 
 def _eq_sort_key(eq: CoefPoly):
-    return (len(eq.terms), eq.total_degree(), sorted(eq.terms.items()).__repr__())
+    # Fraction(c): the key must not depend on whether a coefficient is stored
+    # as int or as Fraction.
+    terms = [(m, Fraction(c)) for m, c in sorted(eq.terms.items())]
+    return (len(eq.terms), eq.total_degree(), repr(terms))
 
 
 class _Search:
@@ -266,7 +271,7 @@ class _Search:
                 for mono in sorted(eq.terms, key=_umono_key, reverse=True):
                     pivot = basis.get(mono)
                     if pivot is not None:
-                        eq = eq - pivot.scale(eq.terms[mono] / pivot.terms[mono])
+                        eq = eq - pivot.scale(exact_quotient(eq.terms[mono], pivot.terms[mono]))
                         changed = True
                         break
             return eq
@@ -281,7 +286,7 @@ class _Search:
             for key in list(basis):
                 row = basis[key]
                 if lead in row.terms:
-                    row = row - eq.scale(row.terms[lead] / eq.terms[lead])
+                    row = row - eq.scale(exact_quotient(row.terms[lead], eq.terms[lead]))
                     basis[key] = row
             basis[lead] = eq
         return [basis[k].normalized() for k in sorted(basis, key=_umono_key) if not basis[k].is_zero()]

@@ -163,3 +163,32 @@ class TestCoefPolyNormalization:
         mono = p.common_monomial()
         assert mono == (("a", 1), ("b", 1))
         assert p.divide_monomial(mono) == x + y
+
+
+class TestCoefficientTypes:
+    """Integral coefficients are stored as int, everything else as Fraction;
+    the two must be indistinguishable through the public interface."""
+
+    def test_integral_values_stored_as_int(self):
+        assert type(CoefPoly.const(Fraction(6, 2)).terms[()]) is int
+        assert type(CoefPoly.const(Fraction(1, 2)).terms[()]) is Fraction
+        p = CoefPoly.var("a").scale(Fraction(1, 2)).scale(4)
+        assert type(p.terms[(("a", 1),)]) is int
+        q = (CoefPoly.var("a").scale(Fraction(2, 3)) + CoefPoly.const(Fraction(4, 9))).normalized()
+        assert all(type(c) is int for c in q.terms.values())
+        assert q == CoefPoly.var("a").scale(3) + CoefPoly.const(2)
+
+    def test_constant_value_is_fraction(self):
+        for p in (CoefPoly.const(3), CoefPoly.const(Fraction(3, 4)), CoefPoly()):
+            assert type(p.constant_value()) is Fraction
+        assert type(CoefPoly.var("a").evaluate({"a": 2})) is Fraction
+
+    def test_int_and_fraction_coefficients_agree(self):
+        mono = (("a", 2),)
+        as_int = CoefPoly({mono: 3, (): -1})
+        as_fraction = CoefPoly({mono: Fraction(3), (): Fraction(-1)})
+        assert as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+        assert repr(as_int) == repr(as_fraction)
+        assert as_int.normalized() == as_fraction.normalized()
+

@@ -1,12 +1,15 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import rotke.cli
 from rotke import PotentialSpec
 from rotke.cli import main
-from rotke.reports import SpecFileError, emit_spec, parse_spec
+from rotke.reports import SpecFileError, emit_spec, parse_potential, parse_spec
+from rotke.solver import ClassificationReport
 
 from conftest import rand_spec
 
@@ -69,6 +72,36 @@ class TestSpecFiles:
         mutate(payload)
         with pytest.raises(SpecFileError):
             parse_spec(payload)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({**VERONESE, "induced": "false"}, "spec.induced"),
+            ({**VERONESE, "induced": 0}, "spec.induced"),
+            ({"n": True, "monomials": [{"exponents": [2], "coef": "1"}]}, "spec.n"),
+            ({"n": 2, "monomials": [{"exponents": [True, True], "coef": "1"}]}, "spec.monomials[0].exponents"),
+        ],
+    )
+    def test_json_booleans_are_not_ints_or_flags(self, payload, field):
+        with pytest.raises(SpecFileError, match=re.escape(field + ":")):
+            parse_spec(payload)
+
+    def test_induced_flag_round_trips(self):
+        spec, _ = parse_spec({"n": 1, "monomials": [{"exponents": [2], "coef": "-1"}], "induced": False})
+        assert not spec.induced
+        assert parse_spec(emit_spec(spec))[0] == spec
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"n": True, "series": [{"exponents": [1], "coef": "1"}]}, "potential.n"),
+            ({"n": 1, "series": [{"exponents": [True], "coef": "1"}]}, "potential.series[0].exponents"),
+            ({"n": 1, "log_monomials": [{"exponents": [True], "coef": "1"}]}, "potential.log_monomials[0].exponents"),
+        ],
+    )
+    def test_potential_files_reject_booleans(self, payload, field):
+        with pytest.raises(SpecFileError, match=re.escape(field + ":")):
+            parse_potential(payload, 4)
 
 
 class TestVerify:
@@ -197,3 +230,19 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--dims", "3..2"])
         assert exc.value.code == 2
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_sweep(dims, k_max, deg_cap=None, trunc=None, jobs=1):
+            seen.append(jobs)
+            return ClassificationReport((2, 2), k_max, 2, 4, ())
+
+        monkeypatch.setattr(rotke.cli, "sweep", fake_sweep)
+        monkeypatch.setattr(rotke.cli.os, "cpu_count", lambda: 1)
+        assert main(["sweep", "--dims", "2..2", "--max-codim", "0", "--jobs", "2"]) == 0
+        monkeypatch.setattr(rotke.cli.os, "cpu_count", lambda: None)
+        assert main(["sweep", "--dims", "2..2", "--max-codim", "0", "--jobs", "2"]) == 0
+        monkeypatch.setattr(rotke.cli.os, "cpu_count", lambda: 4)
+        assert main(["sweep", "--dims", "2..2", "--max-codim", "0", "--jobs", "2"]) == 0
+        assert seen == [1, 1, 2]

@@ -19,7 +19,8 @@ from rotke import (
     series_exp,
     series_log1p,
 )
-from rotke.geometry import lambda_in_lowest_terms
+from rotke.algebra import CoefPoly
+from rotke.geometry import _poly_hash, lambda_in_lowest_terms
 
 from conftest import cpn_unit, rand_spec
 
@@ -193,3 +194,19 @@ class TestInduction:
             phi = series_log1p(P - Series.one(2, 6))
             E = series_exp(phi) - Series.one(2, 6)
             assert E + Series.one(2, 6) == P
+
+
+class TestIntegerCoefficients:
+    def test_det_numerator_stays_on_int(self, segre):
+        for spec in (segre, PotentialSpec.symbolic(2, [(2, 0), (1, 1)]), cpn_unit(3)):
+            trunc = spec.n * (2 * spec.max_degree() - 1)
+            detM = det_numerator(build_potential(spec, trunc))
+            assert detM.terms
+            assert all(type(v) is int for c in detM.terms.values() for v in c.terms.values())
+
+    def test_certificate_hash_ignores_coefficient_type(self):
+        as_int = Series(2, 3, {(1, 0): CoefPoly({(): 3}), (0, 2): CoefPoly({(("a", 1),): -2})})
+        as_fraction = Series(2, 3, {(1, 0): CoefPoly({(): Fraction(3)}), (0, 2): CoefPoly({(("a", 1),): Fraction(-2)})})
+        assert as_int == as_fraction
+        assert _poly_hash(as_int) == _poly_hash(as_fraction)
+

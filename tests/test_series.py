@@ -36,10 +36,16 @@ class TestRingLaws:
 
     def test_pow_trunc(self):
         rng = random.Random(23)
-        for _ in range(40):
-            a = rand_series(rng)
+        for i in range(120):
+            a = rand_series(rng, numeric=i % 2 == 0)
+            constant = (0,) * a.n
+            if i % 3 == 1:  # a rational constant term other than 1
+                a = a - Series(a.n, a.trunc, {constant: a.coeff(constant)})
+                a = a + Series(a.n, a.trunc, {constant: rand_fraction(rng, nonzero=True) + 1})
+            elif i % 3 == 2:  # a symbolic constant term: repeated squaring
+                a = a + Series(a.n, a.trunc, {constant: CoefPoly.var("c")})
             acc = Series.one(a.n, a.trunc)
-            for k in range(5):
+            for k in range(6):
                 assert a.pow_trunc(k) == acc
                 acc = acc * a
 
@@ -77,6 +83,23 @@ class TestLogExp:
             v = v - Series(2, 6, {(0, 0): v.coeff((0, 0))})
             lhs = series_log1p((one + u) * (one + v) - one)
             assert lhs == series_log1p(u) + series_log1p(v)
+
+    def test_match_power_sums(self):
+        rng = random.Random(31)
+        for i in range(60):
+            u = rand_series(rng, n=rng.choice((1, 2)), trunc=6, numeric=i % 2 == 0)
+            u = u - Series(u.n, u.trunc, {(0,) * u.n: u.coeff((0,) * u.n)})
+            log_sum = Series.zero(u.n, u.trunc)
+            exp_sum = Series.one(u.n, u.trunc)
+            power = Series.one(u.n, u.trunc)
+            factorial = 1
+            for k in range(1, u.trunc + 1):
+                power = power * u
+                factorial *= k
+                log_sum = log_sum + power.scale(Fraction((-1) ** (k + 1), k))
+                exp_sum = exp_sum + power.scale(Fraction(1, factorial))
+            assert series_log1p(u) == log_sum
+            assert series_exp(u) == exp_sum
 
     def test_nonzero_constant_term_rejected(self):
         u = Series.one(2, 4)

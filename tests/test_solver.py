@@ -22,6 +22,8 @@ from rotke.algebra import (
     support_unknown,
 )
 
+from rotke.solver import _eq_sort_key
+
 from conftest import cpn_unit
 
 
@@ -245,3 +247,9 @@ class TestSweep:
         assert statuses == ["SHORTCUT", "SHORTCUT", "SOLVED"]
         solved = [e for e in report.entries if e.status == "SOLVED"]
         assert solved[0].solutions[0].tag == "CPn_unit"
+
+
+def test_equation_order_ignores_coefficient_type():
+    a = ((uname((2, 0)), 1),)
+    assert _eq_sort_key(CoefPoly({a: 3, (): -2})) == _eq_sort_key(CoefPoly({a: Fraction(3), (): Fraction(-2)}))
+
