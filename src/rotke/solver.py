@@ -311,7 +311,7 @@ class _Search:
             # a free unknown survived: an unexplored solution family
             self.remnants.append(tuple(CoefPoly.var(nm) for nm in self.all_names if values is None or nm not in values))
             return
-        for nm in self.positivity:
+        for nm in sorted(self.positivity):  # set order would let the hash seed pick the witness
             if values[nm] <= 0:
                 self.witnesses.append(CoefPoly.var(nm) - CoefPoly.const(values[nm]))
                 return

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -252,4 +256,20 @@ class TestSweep:
 def test_equation_order_ignores_coefficient_type():
     a = ((uname((2, 0)), 1),)
     assert _eq_sort_key(CoefPoly({a: 3, (): -2})) == _eq_sort_key(CoefPoly({a: Fraction(3), (): Fraction(-2)}))
+
+
+def test_infeasible_witness_does_not_depend_on_hash_seed():
+    """Two unknowns are nonpositive at this leaf; the reported one must not
+    follow the iteration order of a set of strings."""
+    code = (
+        "from rotke.solver import _solve_one_spec\n"
+        "print(_solve_one_spec((2, 3, ((1, 1), (0, 3), (2, 1)), 5)).witness)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    witnesses = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+        witnesses.add(out.stdout.strip())
+    assert witnesses == {"a(0,3)"}
 
