@@ -100,8 +100,10 @@ EINSTEIN = Unknown(EINSTEIN_NAME, "einstein", None)
 # () is the constant monomial.  Terms map monomials to nonzero exact
 # rationals: a Python int when the value is integral, a Fraction otherwise.
 # Potentials and determinants have integer coefficients, and int arithmetic
-# is several times cheaper than Fraction arithmetic; equality and hashing
-# agree between the two types, so only the constructors below normalize.
+# is several times cheaper than Fraction arithmetic.  Equality and hashing
+# agree between the two types, so a sum or product may keep a Fraction whose
+# denominator is 1; `const`, `scale` and `normalized` return ints where they
+# can, which keeps integral data on int.
 # ---------------------------------------------------------------------------
 
 UMono = Tuple[Tuple[str, int], ...]
