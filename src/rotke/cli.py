@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import reports
 from .algebra import parse_rational
 from .geometry import (
+    MAX_DIMENSION,
     EinsteinCandidate,
     bochner_normalize,
     build_potential,
@@ -154,11 +155,21 @@ def cmd_constraints(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    a, b = args.dims
+    if b > MAX_DIMENSION:
+        raise _Usage(f"--dims must lie in 1..{MAX_DIMENSION}")
     if args.max_codim < 0:
         raise _Usage("--max-codim must be >= 0")
+    if args.deg_cap is not None and args.deg_cap < 2:
+        raise _Usage("--deg-cap must be >= 2")
+    if args.degree is not None:
+        deg_cap = args.deg_cap if args.deg_cap is not None else max(args.max_codim, 2)
+        # supports are enumerated only for n <= 2k, and then some reach deg_cap
+        top = deg_cap if a <= 2 * args.max_codim else 1
+        if args.degree < top + 1:
+            raise _Usage(f"--degree must be >= {top + 1} for these options")
     if args.jobs < 1:
         raise _Usage("--jobs must be >= 1")
-    a, b = args.dims
     report = sweep(
         range(a, b + 1),
         args.max_codim,

@@ -2,37 +2,38 @@
 Monge-Ampere Einstein identity.
 
 A rotation-invariant potential is F = log P with
-P = 1 + sum_j x_j + sum_j a_j x^(m_j), x_alpha = |z_alpha|^2.  The Hermitian
-matrix of the metric decomposes as
-
-    g_{ab} = delta_{ab} F_a + zbar_a z_b F_{ab},
-
-so det(g) is computed by a permutation-cycle expansion entirely in x-space:
-a cycle c of a permutation contributes (prod_{a in c} x_a)(prod_{a in c}
-F_{a,sigma(a)}) while fixed points contribute F_a + x_a F_{aa}.  The same
-expansion applied to the numerator matrix
+P = 1 + sum_j x_j + sum_j a_j x^(m_j), x_alpha = |z_alpha|^2.  The numerator
+matrix of the metric,
 
     M_{ab} = P P_{z_a zbar_b} - P_{z_a} P_{zbar_b}
            = delta_{ab} P Q_a + zbar_a z_b (P Q_{ab} - Q_a Q_b),
 
-with Q_a = dP/dx_a, yields det(M) as an exact polynomial, which is what the
-truncation-free certificate compares against a power of P.
+with Q_a = dP/dx_a, has the shape delta_{ab} D_a + zbar_a z_b N_{ab}.
+Conjugating by diag(z) leaves the determinant unchanged and turns it into
+the x-space matrix
+
+    A = D + X N,    A_{ab} = delta_{ab} D_a + x_a N_{ab},
+
+whose entries are all series in x.  det(A) = det(M) is computed by one
+expansion along rows with the minors memoised per column set, which yields
+det(M) as an exact polynomial: the truncation-free certificate compares it
+against a power of P.  The metric g_{ab} = delta_{ab} F_a + zbar_a z_b F_{ab}
+has the same shape; its determinant is a plain Leibniz sum, kept as an
+independent reference.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     CoefPoly,
     MultiIndex,
     Unknown,
-    format_rational,
     grlex_key,
     mi_degree,
     support_unknown,
@@ -204,117 +205,77 @@ def metric_in_x(P: Series) -> HessianX:
 
 
 # ---------------------------------------------------------------------------
-# Permutation-cycle determinant
+# Determinant in x-space
 # ---------------------------------------------------------------------------
 
 
-def _diag_products(diag: Sequence[Series], one: Series) -> Callable[[int, int], Series]:
-    """prod(mask, cap): prod_{a in mask} diag[a] with terms of degree <= cap.
+def _x_matrix(diag: Sequence[Series], off) -> List[List[Series]]:
+    """A_{ab} = delta_{ab} diag_a + x_a off(a, b), the x-space form of a
+    matrix delta_{ab} diag_a + zbar_a z_b off(a, b) (0-based indices).
 
-    Memoised and built on demand, so only the products a determinant asks
-    for are formed, each at the truncation it is used at.
+    Every off-diagonal entry carries the factor x_a, so it has no term of
+    degree 0; `_minor_determinant` relies on that for its degree cap.
     """
-    memo: Dict[Tuple[int, int], Series] = {}
-
-    def prod(mask: int, cap: int) -> Series:
-        # prod(mask) = prod(mask minus its lowest bit) * diag[lowest bit];
-        # walk down to a memoised product, then multiply back up.  A loop,
-        # not recursion: a self-referencing closure would be a reference
-        # cycle, and the memo would outlive the determinant until the next
-        # garbage collection.
-        chain = []
-        while mask:
-            s = memo.get((mask, cap))
-            if s is not None:
-                break
-            chain.append(mask)
-            mask &= mask - 1
-        else:
-            s = one
-        for m in reversed(chain):
-            s = memo[(m, cap)] = s.mul_trunc(diag[(m & -m).bit_length() - 1], cap)
-        return s
-
-    return prod
+    n = len(diag)
+    rows = []
+    for a in range(n):
+        xa = tuple(1 if i == a else 0 for i in range(n))
+        row = [off(a, b).shift_monomial(xa) for b in range(n)]
+        row[a] = diag[a] + row[a]
+        rows.append(row)
+    return rows
 
 
-def _fixed_point_free_perms(elems: Tuple[int, ...]):
-    """Yield (mapping, sign) for fixed-point-free permutations of elems."""
-    for perm in permutations(elems):
-        if any(a == b for a, b in zip(elems, perm)):
-            continue
-        # sign from cycle count: (-1)^(len - cycles)
-        seen = set()
-        cycles = 0
-        mapping = dict(zip(elems, perm))
-        for a in elems:
-            if a in seen:
-                continue
-            cycles += 1
-            b = a
-            while b not in seen:
-                seen.add(b)
-                b = mapping[b]
-        yield mapping, (-1) ** (len(elems) - cycles)
+def _minor_determinant(A: Sequence[Sequence[Series]]) -> Series:
+    """det A for a matrix from `_x_matrix`, truncated at its truncation.
 
-
-def _subsets(n: int, max_size: int):
-    from itertools import combinations
-
-    for size in range(2, min(n, max_size) + 1):
-        yield from combinations(range(n), size)
-
-
-def cycle_determinant(n: int, diag: Sequence[Series], off, trunc: int) -> Series:
-    """det of the matrix delta_{ab} diag_a + zbar_a z_b off(a, b), in x-space.
-
-    `off(a, b)` returns the Series factor of the (a, b) off-diagonal entry
-    (0-based).  The x_a prefactor of each cycle raises the degree by the
-    cycle support size, so inner products are truncated accordingly.
+    Expands along rows 0, 1, ..., keeping the minor on rows 0..r and each
+    column set S (a bitmask) once: n 2^(n-1) series products in all.  The
+    minor is kept only to degree trunc - |S minus {0..r}|: each such column c
+    is taken by an earlier row, so row c must later pick an off-diagonal
+    entry, whose factor x_c has degree >= 1.
     """
-    one = Series.one(n, trunc)
-    prod_diag = _diag_products(diag, one)
-    full = (1 << n) - 1
-    total = prod_diag(full, trunc)
-    off_cache: Dict[Tuple[int, int], Series] = {}
-
-    def off_at(a: int, b: int) -> Series:
-        s = off_cache.get((a, b))
-        if s is None:
-            s = off(a, b)
-            off_cache[(a, b)] = s
-        return s
-
-    for subset in _subsets(n, trunc):
-        cap = trunc - len(subset)
-        inner = Series.zero(n, trunc)
-        for mapping, sign in _fixed_point_free_perms(subset):
-            prod = one
-            for a in subset:
-                prod = prod.mul_trunc(off_at(a, mapping[a]), cap)
-                if prod.is_zero():
-                    break
-            inner = (inner + prod) if sign > 0 else (inner - prod)
-        if inner.is_zero():
-            continue
-        mask = 0
-        for a in subset:
-            mask |= 1 << a
-        contrib = inner.mul_trunc(prod_diag(full ^ mask, cap), cap)
-        mono = tuple(1 if a in subset else 0 for a in range(n))
-        total = total + contrib.shift_monomial(mono)
-    return total
+    n = len(A)
+    trunc = A[0][0].trunc
+    minors: Dict[int, Series] = {0: Series.one(n, trunc)}
+    for r in range(n):
+        low = (1 << (r + 1)) - 1
+        nxt: Dict[int, Series] = {}
+        for sub, minor in minors.items():
+            for c in range(n):
+                bit = 1 << c
+                if sub & bit:
+                    continue
+                cols = sub | bit
+                cap = trunc - bin(cols & ~low).count("1")
+                if cap < 0:
+                    continue
+                term = A[r][c].mul_trunc(minor, cap)
+                # Laplace sign: (-1)^(columns of cols to the right of c)
+                if bin(sub >> c).count("1") & 1:
+                    term = -term
+                prev = nxt.get(cols)
+                nxt[cols] = term if prev is None else prev + term
+        minors = nxt
+    return minors.get((1 << n) - 1, Series.zero(n, trunc))
 
 
 def det_metric(H: HessianX) -> Series:
-    """det(g_{ab}) as a Series in x via the cycle expansion; constant term 1."""
+    """det(g_{ab}) as a Series in x, by the Leibniz sum; constant term 1.
+
+    Deliberately independent of `_minor_determinant`: it is the reference
+    that det_numerator is tested against.
+    """
     n = H.n
-    trunc = H.trunc
-    diag = []
-    for a in range(n):
-        xa = tuple(1 if i == a else 0 for i in range(n))
-        diag.append(H.f_alpha[a] + H.f_alpha_beta[a][a].shift_monomial(xa))
-    return cycle_determinant(n, diag, lambda a, b: H.f_alpha_beta[a][b], trunc)
+    A = _x_matrix(H.f_alpha, lambda a, b: H.f_alpha_beta[a][b])
+    total = Series.zero(n, H.trunc)
+    for perm in permutations(range(n)):
+        term = Series.one(n, H.trunc)
+        for a in range(n):
+            term = term * A[a][perm[a]]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions & 1 else total + term
+    return total
 
 
 def det_numerator(P: Series) -> Series:
@@ -323,11 +284,8 @@ def det_numerator(P: Series) -> Series:
     n = P.n
     Q = [series_diff(P, a) for a in range(1, n + 1)]
     QQ = [[series_diff(Q[a], b + 1) for b in range(n)] for a in range(n)]
-    diag = []
-    for a in range(n):
-        xa = tuple(1 if i == a else 0 for i in range(n))
-        diag.append(P * Q[a] + (P * QQ[a][a] - Q[a] * Q[a]).shift_monomial(xa))
-    return cycle_determinant(n, diag, lambda a, b: P * QQ[a][b] - Q[a] * Q[b], P.trunc)
+    diag = [P * Q[a] for a in range(n)]
+    return _minor_determinant(_x_matrix(diag, lambda a, b: P * QQ[a][b] - Q[a] * Q[b]))
 
 
 # ---------------------------------------------------------------------------

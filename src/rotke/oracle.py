@@ -2,7 +2,7 @@
 
 Deliberately reimplements differentiation and the determinant on a different
 representation (pairs of exponent vectors in z and zbar) so a bug shared with
-the x-space cycle formula cannot cancel out.  Numeric only, n <= 3.
+the x-space minor expansion cannot cancel out.  Numeric only, n <= 3.
 """
 
 from __future__ import annotations

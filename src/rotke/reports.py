@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .algebra import Unknown, format_rational, parse_rational
 from .geometry import Certificate, InductionReport, PotentialSpec
@@ -61,6 +61,16 @@ def _parse_coef(raw, where: str) -> Union[Fraction, str]:
     raise SpecFileError(f'{where}: coefficient must be a "p/q" string or {{"sym": name}}')
 
 
+def _parse_entry(entry, n: int, where: str, min_degree: int = 0) -> Tuple[Tuple[int, ...], Union[Fraction, str]]:
+    """One {"exponents": [...], "coef": ...} entry of a monomial list."""
+    if not isinstance(entry, dict) or "exponents" not in entry or "coef" not in entry:
+        raise SpecFileError(f"{where}: need exponents and coef")
+    exps = _parse_exponents(entry, n, where)
+    if sum(exps) < min_degree:
+        raise SpecFileError(f"{where}: degree must be >= {min_degree}")
+    return exps, _parse_coef(entry["coef"], f"{where}.coef")
+
+
 def parse_spec(data: dict, where: str = "spec") -> Tuple[PotentialSpec, Optional[Fraction]]:
     """Parse the JSON object form of a potential spec.
 
@@ -76,10 +86,7 @@ def parse_spec(data: dict, where: str = "spec") -> Tuple[PotentialSpec, Optional
     names_seen = set()
     for i, entry in enumerate(monomials):
         loc = f"{where}.monomials[{i}]"
-        if not isinstance(entry, dict) or "exponents" not in entry or "coef" not in entry:
-            raise SpecFileError(f"{loc}: need exponents and coef")
-        exps = _parse_exponents(entry, n, loc)
-        coef = _parse_coef(entry["coef"], f"{loc}.coef")
+        exps, coef = _parse_entry(entry, n, loc)
         if isinstance(coef, str):
             if coef in names_seen:
                 raise SpecFileError(f"{loc}.coef: duplicate symbol {coef!r}")
@@ -127,23 +134,18 @@ def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
         raise SpecFileError(f"{where}: expected a JSON object")
     n = _parse_n(data, where)
 
-    def parse_terms(entries, loc, min_degree=0):
+    def parse_terms(entries, loc):
         terms = {}
         for i, entry in enumerate(entries):
             sub = f"{loc}[{i}]"
-            if not isinstance(entry, dict) or "exponents" not in entry or "coef" not in entry:
-                raise SpecFileError(f"{sub}: need exponents and coef")
-            exps = _parse_exponents(entry, n, sub)
-            if sum(exps) < min_degree:
-                raise SpecFileError(f"{sub}: degree must be >= {min_degree}")
-            coef = _parse_coef(entry["coef"], f"{sub}.coef")
+            exps, coef = _parse_entry(entry, n, sub, min_degree=1)
             if not isinstance(coef, Fraction):
                 raise SpecFileError(f"{sub}.coef: potentials must be numeric")
             terms[exps] = coef
         return terms
 
     if "series" in data:
-        return Series(n, trunc, parse_terms(data["series"], f"{where}.series", min_degree=1))
+        return Series(n, trunc, parse_terms(data["series"], f"{where}.series"))
     if "log_monomials" in data:
         scale = Fraction(1)
         if "log_scale" in data:
@@ -151,7 +153,7 @@ def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
                 scale = parse_rational(data["log_scale"])
             except ValueError as exc:
                 raise SpecFileError(f"{where}.log_scale: {exc}") from None
-        arg = Series(n, trunc, parse_terms(data["log_monomials"], f"{where}.log_monomials", min_degree=1))
+        arg = Series(n, trunc, parse_terms(data["log_monomials"], f"{where}.log_monomials"))
         return series_log1p(arg).scale(scale)
     if "monomials" in data:
         from .geometry import build_potential

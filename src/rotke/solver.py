@@ -11,7 +11,7 @@ is surfaced as UNRESOLVED, never silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -25,12 +25,11 @@ from .algebra import (
     Unknown,
     exact_quotient,
     grlex_key,
-    mi_degree,
     mi_permute,
     monomials_of_degree,
-    support_unknown,
 )
 from .geometry import (
+    MAX_DIMENSION,
     EinsteinCandidate,
     PotentialSpec,
     build_potential,
@@ -447,15 +446,15 @@ def solve_system(system: ConstraintSystem) -> SolveOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _orbit(support: Iterable[MultiIndex], perms) -> Set[Tuple[MultiIndex, ...]]:
+    """The sorted images of a support under the variable permutations perms."""
+    support = [tuple(m) for m in support]
+    return {tuple(sorted(mi_permute(m, p) for m in support)) for p in perms}
+
+
 def canonical_support(n: int, support: Iterable[MultiIndex]) -> Tuple[MultiIndex, ...]:
     """Lexicographically least representative under variable permutations."""
-    support = tuple(sorted(tuple(m) for m in support))
-    best = support
-    for perm in permutations(range(n)):
-        image = tuple(sorted(mi_permute(m, perm) for m in support))
-        if image < best:
-            best = image
-    return best
+    return min(_orbit(support, permutations(range(n))))
 
 
 def enumerate_supports(
@@ -481,7 +480,7 @@ def enumerate_supports(
             key = tuple(sorted(comb))
             if key in seen:
                 continue
-            orbit = {tuple(sorted(mi_permute(m, p) for m in comb)) for p in perms}
+            orbit = _orbit(comb, perms)
             seen.update(orbit)
             reps.append(min(orbit))
         for rep in sorted(reps, key=lambda s: tuple(grlex_key(m) for m in s)):
@@ -687,8 +686,8 @@ def sweep(
     worker count.
     """
     dims = sorted(set(dims))
-    if not dims or dims[0] < 1 or dims[-1] > 8:
-        raise ValueError("dimensions must lie in 1..8")
+    if not dims or dims[0] < 1 or dims[-1] > MAX_DIMENSION:
+        raise ValueError(f"dimensions must lie in 1..{MAX_DIMENSION}")
     if deg_cap is None:
         deg_cap = max(k_max, 2)
     if trunc is None:

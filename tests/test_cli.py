@@ -231,6 +231,15 @@ class TestSweepCommand:
             main(["sweep", "--dims", "3..2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--dims", "2..9"], "--dims must lie in 1..8"),
+        (["--dims", "2..2", "--deg-cap", "1"], "--deg-cap must be >= 2"),
+        (["--dims", "2..2", "--max-codim", "1", "--degree", "2"], "--degree must be >= 3"),
+    ])
+    def test_out_of_range_options_are_usage_errors(self, argv, message, capsys):
+        assert main(["sweep", *argv]) == 2
+        assert message in capsys.readouterr().err
+
     def test_jobs_capped_at_cpu_count(self, monkeypatch, capsys):
         seen = []
 

@@ -87,14 +87,36 @@ class TestMetric:
                     assert H.f_alpha_beta[a][b] == H.f_alpha_beta[b][a]
 
     def test_det_numerator_equals_det_metric_times_power(self, rng, veronese, segre):
-        # det(M) = P^{2n} det(g) with n = 2
+        # det(M) = P^{2n} det(g)
         specs = [veronese, segre] + [rand_spec(rng, n=2) for _ in range(10)]
+        specs += [PotentialSpec(3, (((1, 1, 0), Fraction(1)), ((0, 1, 1), Fraction(1, 2)), ((2, 0, 0), Fraction(3))))]
         for spec in specs:
-            D = 2 * (2 * spec.max_degree() - 1)
+            n = spec.n
+            D = n * (2 * spec.max_degree() - 1)
             P = build_potential(spec, D)
             lhs = det_numerator(P)
-            rhs = det_metric(metric_in_x(P)) * P.pow_trunc(4)
+            rhs = det_metric(metric_in_x(P)) * P.pow_trunc(2 * n)
             assert lhs == rhs
+
+    def test_det_numerator_degree_cap_is_exact(self, rng):
+        # the minor expansion drops terms by degree; at every truncation t it
+        # must still give the exact determinant truncated to t
+        specs = [rand_spec(rng, n=2) for _ in range(4)]
+        specs += [rand_spec(rng, n=n, max_deg=2) for n in (3, 4) for _ in range(2)]
+        specs += [
+            PotentialSpec.symbolic(2, [(2, 0), (1, 1)]),
+            PotentialSpec.symbolic(2, [(0, 3), (1, 1)]),
+            PotentialSpec.symbolic(3, [(1, 1, 0), (0, 0, 2)]),
+            PotentialSpec.symbolic(3, [(1, 1, 1), (2, 0, 0)]),
+            PotentialSpec.symbolic(4, [(1, 1, 0, 0)]),
+        ]
+        for spec in specs:
+            n, d = spec.n, spec.max_degree()
+            D = n * (2 * d - 1)
+            full = det_numerator(build_potential(spec, D))
+            assert full.degree() <= D
+            for t in range(d, D + 1):
+                assert det_numerator(build_potential(spec, t)) == full.truncate(t), (spec, t)
 
     def test_det_numerator_constant_term_and_degree(self, rng):
         for _ in range(15):
