@@ -125,6 +125,8 @@ def cmd_verify(args) -> int:
         lam = args.lam
     if lam is None:
         raise _Usage("verify needs an Einstein constant: pass --lambda p/q or put it in the spec file")
+    if lam <= 0:
+        raise _Usage(f"the Einstein constant must be positive, got {lam}")
     if not spec.is_numeric():
         raise _Usage("verify needs numeric coefficients; use the constraints command for symbolic specs")
     if args.degree is not None:

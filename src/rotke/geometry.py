@@ -2,24 +2,20 @@
 Monge-Ampere Einstein identity.
 
 A rotation-invariant potential is F = log P with
-P = 1 + sum_j x_j + sum_j a_j x^(m_j), x_alpha = |z_alpha|^2.  The numerator
-matrix of the metric,
+P = 1 + sum_j x_j + sum_j a_j x^(m_j), x_alpha = |z_alpha|^2.  The metric
+determinant has Fefferman's bordered form
 
-    M_{ab} = P P_{z_a zbar_b} - P_{z_a} P_{zbar_b}
-           = delta_{ab} P Q_a + zbar_a z_b (P Q_{ab} - Q_a Q_b),
+    det(g) = det(B) / P^(n+1),    B = [[P, P_{zbar_b}], [P_{z_a}, P_{z_a zbar_b}]],
 
-with Q_a = dP/dx_a, has the shape delta_{ab} D_a + zbar_a z_b N_{ab}.
-Conjugating by diag(z) leaves the determinant unchanged and turns it into
-the x-space matrix
-
-    A = D + X N,    A_{ab} = delta_{ab} D_a + x_a N_{ab},
-
-whose entries are all series in x.  det(A) = det(M) is computed by one
-expansion along rows with the minors memoised per column set, which yields
-det(M) as an exact polynomial: the truncation-free certificate compares it
-against a power of P.  The metric g_{ab} = delta_{ab} F_a + zbar_a z_b F_{ab}
-has the same shape; its determinant is a plain Leibniz sum, kept as an
-independent reference.
+an (n+1) x (n+1) matrix of plain derivatives of P.  With Q_a = dP/dx_a,
+conjugating B by diag(1, z) leaves the determinant unchanged and gives the
+x-space matrix with row 0 = (P, Q_1, ..., Q_n) and row a = x_a d/dx_a of
+row 0 plus Q_a on the diagonal.  det(B), a polynomial of degree
+n(deg_x P - 1) + deg_x P, is computed by one expansion along rows with the
+minors memoised per column set: the truncation-free certificate compares a
+power of it against a power of P.  The metric
+g_{ab} = delta_{ab} F_a + zbar_a z_b F_{ab} has its own Leibniz determinant,
+kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -135,12 +131,12 @@ class EinsteinCandidate:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of the truncation-free polynomial identity det(M)^q = P^(2nq-p)."""
+    """Outcome of the truncation-free polynomial identity det(B)^q' = P^((n+1)q' - p');
+    `identity` states the form that was checked."""
 
     status: str  # "PASS" | "FAIL"
     lam: Fraction
-    p_prime: int
-    q_prime: int
+    identity: str
     lhs_hash: str
     rhs_hash: str
     witness: Optional[MultiIndex] = None
@@ -209,40 +205,24 @@ def metric_in_x(P: Series) -> HessianX:
 # ---------------------------------------------------------------------------
 
 
-def _x_matrix(diag: Sequence[Series], off) -> List[List[Series]]:
-    """A_{ab} = delta_{ab} diag_a + x_a off(a, b), the x-space form of a
-    matrix delta_{ab} diag_a + zbar_a z_b off(a, b) (0-based indices).
-
-    Every off-diagonal entry carries the factor x_a, so it has no term of
-    degree 0; `_minor_determinant` relies on that for its degree cap.
-    """
-    n = len(diag)
-    rows = []
-    for a in range(n):
-        xa = tuple(1 if i == a else 0 for i in range(n))
-        row = [off(a, b).shift_monomial(xa) for b in range(n)]
-        row[a] = diag[a] + row[a]
-        rows.append(row)
-    return rows
-
-
 def _minor_determinant(A: Sequence[Sequence[Series]]) -> Series:
-    """det A for a matrix from `_x_matrix`, truncated at its truncation.
+    """det A for a square matrix of series, truncated at their truncation.
 
     Expands along rows 0, 1, ..., keeping the minor on rows 0..r and each
-    column set S (a bitmask) once: n 2^(n-1) series products in all.  The
-    minor is kept only to degree trunc - |S minus {0..r}|: each such column c
-    is taken by an earlier row, so row c must later pick an off-diagonal
-    entry, whose factor x_c has degree >= 1.
+    column set S (a bitmask) once: m 2^(m-1) series products for m rows.  The
+    minor is kept only to degree trunc - |S minus {0..r}|.  That is exact
+    when every off-diagonal entry of rows 1.. has no term of degree 0, as in
+    `det_numerator`: each such column c is taken by an earlier row, so row c
+    must later pick an off-diagonal entry, of degree >= 1.  Row 0 is free.
     """
-    n = len(A)
-    trunc = A[0][0].trunc
-    minors: Dict[int, Series] = {0: Series.one(n, trunc)}
-    for r in range(n):
+    m = len(A)
+    nvars, trunc = A[0][0].n, A[0][0].trunc
+    minors: Dict[int, Series] = {0: Series.one(nvars, trunc)}
+    for r in range(m):
         low = (1 << (r + 1)) - 1
         nxt: Dict[int, Series] = {}
         for sub, minor in minors.items():
-            for c in range(n):
+            for c in range(m):
                 bit = 1 << c
                 if sub & bit:
                     continue
@@ -257,35 +237,48 @@ def _minor_determinant(A: Sequence[Sequence[Series]]) -> Series:
                 prev = nxt.get(cols)
                 nxt[cols] = term if prev is None else prev + term
         minors = nxt
-    return minors.get((1 << n) - 1, Series.zero(n, trunc))
+    return minors.get((1 << m) - 1, Series.zero(nvars, trunc))
 
 
 def det_metric(H: HessianX) -> Series:
     """det(g_{ab}) as a Series in x, by the Leibniz sum; constant term 1.
 
-    Deliberately independent of `_minor_determinant`: it is the reference
-    that det_numerator is tested against.
+    The x-space entries are delta_{ab} F_a + x_a F_{ab}.  Deliberately
+    independent of `_minor_determinant`: it is the reference that
+    det_numerator is tested against.
     """
     n = H.n
-    A = _x_matrix(H.f_alpha, lambda a, b: H.f_alpha_beta[a][b])
     total = Series.zero(n, H.trunc)
     for perm in permutations(range(n)):
         term = Series.one(n, H.trunc)
         for a in range(n):
-            term = term * A[a][perm[a]]
+            xa = tuple(1 if i == a else 0 for i in range(n))
+            entry = H.f_alpha_beta[a][perm[a]].shift_monomial(xa)
+            if perm[a] == a:
+                entry = H.f_alpha[a] + entry
+            term = term * entry
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total = total - term if inversions & 1 else total + term
     return total
 
 
 def det_numerator(P: Series) -> Series:
-    """det(M) with M_{ab} = P P_{z_a zbar_b} - P_{z_a} P_{zbar_b}, as an exact
-    polynomial in x whenever P.trunc >= n*(2*deg_x(P) - 1)."""
+    """det(B) for the bordered matrix B = [[P, P_{zbar_b}], [P_{z_a}, P_{z_a zbar_b}]],
+    so that det(g) = det(B) / P^(n+1); an exact polynomial in x whenever
+    P.trunc >= n*(deg_x(P) - 1) + deg_x(P).
+
+    In x-space row 0 is (P, Q_1, ..., Q_n) and row a is x_a d/dx_a of row 0
+    plus Q_a on the diagonal, so every off-diagonal entry of row a carries x_a.
+    """
     n = P.n
-    Q = [series_diff(P, a) for a in range(1, n + 1)]
-    QQ = [[series_diff(Q[a], b + 1) for b in range(n)] for a in range(n)]
-    diag = [P * Q[a] for a in range(n)]
-    return _minor_determinant(_x_matrix(diag, lambda a, b: P * QQ[a][b] - Q[a] * Q[b]))
+    row0 = [P] + [series_diff(P, a) for a in range(1, n + 1)]
+    rows = [row0]
+    for a in range(1, n + 1):
+        xa = tuple(1 if i == a - 1 else 0 for i in range(n))
+        row = [series_diff(entry, a).shift_monomial(xa) for entry in row0]
+        row[a] = row0[a] + row[a]
+        rows.append(row)
+    return _minor_determinant(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +286,20 @@ def det_numerator(P: Series) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def ma_log_residual(P: Series, lam: Union[CoefPoly, Fraction, int], trunc: Optional[int] = None) -> Series:
+def ma_log_residual(P: Series, lam: Union[CoefPoly, Fraction, int]) -> Series:
     """R = log det(g) + (lam/2) log P, truncated.
 
     R vanishes identically up to the truncation iff the Einstein identity
-    det(g) = P^(-lam/2) holds to that order.  Computed through the numerator
-    polynomial: log det(g) = log det(M) - 2n log P, so
-    R = log1p(det(M) - 1) + (lam/2 - 2n) log1p(P - 1).
+    det(g) = P^(-lam/2) holds to that order.  Computed through the bordered
+    determinant: log det(g) = log det(B) - (n+1) log P, so
+    R = log1p(det(B) - 1) + (lam/2 - n - 1) log1p(P - 1).
     """
-    if trunc is not None and trunc != P.trunc:
-        P = P.truncate(trunc)
     lam_poly = lam if isinstance(lam, CoefPoly) else CoefPoly.const(lam)
     one = Series.one(P.n, P.trunc)
-    log_detM = series_log1p(det_numerator(P) - one)
+    log_detB = series_log1p(det_numerator(P) - one)
     log_P = series_log1p(P - one)
-    factor = lam_poly.scale(Fraction(1, 2)) + CoefPoly.const(-2 * P.n)
-    return log_detM + log_P.scale(factor)
+    factor = lam_poly.scale(Fraction(1, 2)) + CoefPoly.const(-(P.n + 1))
+    return log_detB + log_P.scale(factor)
 
 
 def lambda_in_lowest_terms(lam: Fraction) -> Tuple[int, int]:
@@ -329,8 +320,10 @@ def _poly_hash(s: Series) -> str:
 def certify_exact(cand: EinsteinCandidate) -> Certificate:
     """Truncation-free proof of the Einstein identity for a numeric candidate.
 
-    With lam/2 = p'/q' in lowest terms the Monge-Ampere equation is
-    equivalent to the exact polynomial identity det(M)^q' = P^(2n q' - p').
+    With lam/2 = p'/q' in lowest terms and e = (n+1) q' - p', the
+    Monge-Ampere equation is equivalent to the exact polynomial identity
+    det(B)^q' = P^e, checked as det(B)^q' P^(-e) = 1 when e < 0.  A FAIL
+    names the grlex-least monomial of the difference.
     """
     spec = cand.spec
     if not spec.is_numeric():
@@ -339,24 +332,24 @@ def certify_exact(cand: EinsteinCandidate) -> Certificate:
     if lam <= 0:
         raise ValueError(f"Einstein constant must be positive, got {lam}")
     p_prime, q_prime = lambda_in_lowest_terms(lam)
-    n = spec.n
-    exponent = 2 * n * q_prime - p_prime
-    if exponent < 0:
-        raise ValueError(f"2n q' - p' = {exponent} < 0: candidate rejected")
-    d = spec.max_degree()
-    det_deg = n * (2 * d - 1)
-    big = max(q_prime * det_deg, exponent * d, 1)
-    P = build_potential(spec, big)
-    detM = det_numerator(P)
-    lhs = detM.pow_trunc(q_prime)
-    rhs = P.pow_trunc(exponent)
+    n, d = spec.n, spec.max_degree()
+    exponent = (n + 1) * q_prime - p_prime
+    lhs_deg = q_prime * (n * (d - 1) + d) + max(-exponent, 0) * d
+    P = build_potential(spec, max(lhs_deg, exponent * d))
+    lhs = det_numerator(P).pow_trunc(q_prime)
+    if exponent >= 0:
+        rhs = P.pow_trunc(exponent)
+        identity = f"det(B)^{q_prime} = P^{exponent}"
+    else:
+        lhs = lhs * P.pow_trunc(-exponent)
+        rhs = Series.one(n, P.trunc)
+        identity = f"det(B)^{q_prime} * P^{-exponent} = 1"
     lhs_hash = _poly_hash(lhs)
     rhs_hash = _poly_hash(rhs)
     if lhs == rhs:
-        return Certificate("PASS", lam, p_prime, q_prime, lhs_hash, rhs_hash)
-    diff = lhs - rhs
-    witness = min(diff.terms, key=grlex_key)
-    return Certificate("FAIL", lam, p_prime, q_prime, lhs_hash, rhs_hash, witness)
+        return Certificate("PASS", lam, identity, lhs_hash, rhs_hash)
+    witness = min((lhs - rhs).terms, key=grlex_key)
+    return Certificate("FAIL", lam, identity, lhs_hash, rhs_hash, witness)
 
 
 def degree_bound_lambda(spec: PotentialSpec) -> Fraction:

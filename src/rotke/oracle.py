@@ -1,4 +1,4 @@
-"""Independent z-space brute force for the metric determinant numerator.
+"""Independent z-space brute force for the bordered metric determinant.
 
 Deliberately reimplements differentiation and the determinant on a different
 representation (pairs of exponent vectors in z and zbar) so a bug shared with
@@ -111,22 +111,22 @@ def potential_bipoly(spec: PotentialSpec) -> BiPoly:
 
 
 def zspace_det_numerator(spec: PotentialSpec) -> BiPoly:
-    """det(P P_{z_a zbar_b} - P_{z_a} P_{zbar_b}) by literal Leibniz expansion."""
+    """det [[P, P_{zbar_b}], [P_{z_a}, P_{z_a zbar_b}]] by literal Leibniz
+    expansion of the (n+1) x (n+1) bordered matrix."""
     if spec.n > ORACLE_MAX_DIMENSION:
         raise ValueError(f"oracle refuses n = {spec.n} > {ORACLE_MAX_DIMENSION}")
     n = spec.n
     P = potential_bipoly(spec)
-    Pz = [P.diff_z(a) for a in range(1, n + 1)]
-    Pzb = [P.diff_zbar(b) for b in range(1, n + 1)]
-    M = [[P * Pz[a].diff_zbar(b + 1) - Pz[a] * Pzb[b] for b in range(n)] for a in range(n)]
+    Pz = [P] + [P.diff_z(a) for a in range(1, n + 1)]
+    B = [[Pz[a]] + [Pz[a].diff_zbar(b) for b in range(1, n + 1)] for a in range(n + 1)]
     det = BiPoly.constant(n, 0)
-    for perm in permutations(range(n)):
+    for perm in permutations(range(n + 1)):
         inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+            1 for i in range(n + 1) for j in range(i + 1, n + 1) if perm[i] > perm[j]
         )
         prod = BiPoly.constant(n, (-1) ** inversions)
-        for a in range(n):
-            prod = prod * M[a][perm[a]]
+        for a in range(n + 1):
+            prod = prod * B[a][perm[a]]
         det = det + prod
     return det
 

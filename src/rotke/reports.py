@@ -196,7 +196,7 @@ def verify_payload(spec: PotentialSpec, cert: Certificate) -> dict:
         "mode": "exact",
         "status": cert.status,
         "lambda": format_rational(cert.lam),
-        "identity": f"det(M)^{cert.q_prime} = P^{2 * spec.n * cert.q_prime - cert.p_prime}",
+        "identity": cert.identity,
         "lhs_hash": cert.lhs_hash,
         "rhs_hash": cert.rhs_hash,
         "witness_monomial": list(cert.witness) if cert.witness else None,

@@ -35,8 +35,10 @@ from .geometry import (
     build_potential,
     certify_exact,
     degree_bound_lambda,
+    lambda_in_lowest_terms,
     ma_log_residual,
 )
+from .series import Series
 
 _MAX_SEARCH_DEPTH = 64
 
@@ -428,10 +430,7 @@ def solve_system(system: ConstraintSystem) -> SolveOutcome:
     outcomes carry a witness equation that contradicts positivity.
     """
     search = _Search(system)
-    eqs, contradiction = search._clean(list(system.equations))
-    if contradiction is not None:
-        return SolveOutcome("INFEASIBLE", (), contradiction)
-    search.run(eqs, [])
+    search.run(list(system.equations), [])
     solutions = tuple(sorted(set(search.solutions)))
     if search.remnants:
         return SolveOutcome("UNRESOLVED", solutions, None, tuple(search.remnants))
@@ -501,14 +500,6 @@ def tag_cpn_scaled(q: int) -> str:
     return f"CPn_scaled({q})"
 
 
-def _model_cpn_scaled(n: int, q: int, trunc: int):
-    """(1 + (x_1+...+x_n)/q)^q as a Series."""
-    from .series import Series
-
-    s = Series(n, trunc, {tuple(1 if j == i else 0 for j in range(n)): Fraction(1, q) for i in range(n)})
-    return (Series.one(n, trunc) + s).pow_trunc(q)
-
-
 def _set_partitions(items: List[int]) -> Iterable[List[List[int]]]:
     """All partitions of items into nonempty blocks (canonical order)."""
     if not items:
@@ -522,16 +513,20 @@ def _set_partitions(items: List[int]) -> Iterable[List[List[int]]]:
 
 
 def classify(spec: PotentialSpec, lam: Fraction) -> str:
-    """Match a certified candidate against the model potentials.
+    """Match a certified candidate (lam > 0) against the model potentials.
 
-    Returns one of CPn_unit, CPn_scaled(q), ProductOfLines, UNKNOWN; the
-    match is cross-checked against the rational shape of the Einstein
-    constant, and a disagreement is an engine bug, not a value.
+    Returns one of CPn_unit, CPn_scaled(q), ProductOfLines, UNKNOWN.  The
+    models are the products over the blocks of a partition of the variables
+    of (1 + (sum of the block's x)/q_b)^q_b with q_b = 2(|block| + 1)/lam: one
+    block is CPn_scaled(q), two or more are ProductOfLines.  The match is
+    cross-checked against the rational shape of the Einstein constant, and a
+    disagreement is an engine bug, not a value.
     """
     lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError(f"Einstein constant must be positive, got {lam}")
     n = spec.n
-    half = Fraction(lam, 2)
-    p_hulin, q_hulin = half.numerator, half.denominator
+    p_hulin, q_hulin = lambda_in_lowest_terms(lam)
     tag = TAG_UNKNOWN
 
     if not spec.support:
@@ -540,28 +535,18 @@ def classify(spec: PotentialSpec, lam: Fraction) -> str:
         d = spec.max_degree()
         trunc = max(n * d, d)
         P = build_potential(spec, trunc)
-        q_guess = Fraction(2 * (n + 1), lam)
-        if q_guess.denominator == 1 and q_guess >= 2 and P == _model_cpn_scaled(n, int(q_guess), trunc):
-            tag = tag_cpn_scaled(int(q_guess))
-        else:
-            from .series import Series
-
-            for blocks in _set_partitions(list(range(n))):
-                if len(blocks) < 2:
-                    continue
-                model = Series.one(n, trunc)
-                ok = True
-                for block in blocks:
-                    qb = Fraction(2 * (len(block) + 1), lam)
-                    if qb.denominator != 1 or qb < 1:
-                        ok = False
-                        break
-                    base = Series.one(n, trunc) + Series(
-                        n, trunc, {tuple(1 if j == i else 0 for j in range(n)): Fraction(1, int(qb)) for i in block}
-                    )
-                    model = model * base.pow_trunc(int(qb))
-                if ok and P == model:
-                    tag = TAG_PRODUCT
+        one = Series.one(n, trunc)
+        for blocks in _set_partitions(list(range(n))):
+            model = one
+            for block in blocks:
+                qb = Fraction(2 * (len(block) + 1), lam)
+                if qb.denominator != 1:
+                    break
+                base = one + Series(n, trunc, {tuple(1 if j == i else 0 for j in range(n)): 1 / qb for i in block})
+                model = model * base.pow_trunc(int(qb))
+            else:
+                if P == model:
+                    tag = tag_cpn_scaled(int(qb)) if len(blocks) == 1 else TAG_PRODUCT
                     break
 
     # Hulin shape shortcut as an independent cross-check

@@ -135,6 +135,28 @@ class TestVerify:
             main(["verify", "--spec", spec, "--lambda", "0.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mode", [[], ["--degree", "4"]])
+    def test_nonpositive_lambda_flag_is_usage_error(self, mode, tmp_path, capsys):
+        spec = write(tmp_path, "v.json", VERONESE)
+        assert main(["verify", "--spec", spec, "--lambda", "0"] + mode) == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--degree", "4"]])
+    def test_nonpositive_lambda_in_spec_is_usage_error(self, mode, tmp_path, capsys):
+        spec = write(tmp_path, "v.json", dict(VERONESE, **{"lambda": "-3/2"}))
+        assert main(["verify", "--spec", spec] + mode) == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam,status,identity", [
+        ("3", "PASS", "det(B)^2 = P^3"),  # e = (n+1)q' - p' = 3
+        ("8", "FAIL", "det(B)^1 * P^1 = 1"),  # e = -1
+    ])
+    def test_identity_names_compared_polynomials(self, lam, status, identity, tmp_path, capsys):
+        spec = write(tmp_path, "v.json", VERONESE)
+        main(["verify", "--spec", spec, "--lambda", lam, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["status"], payload["identity"]) == (status, identity)
+
     def test_json_format_carries_schema(self, tmp_path, capsys):
         spec = write(tmp_path, "v.json", VERONESE)
         assert main(["verify", "--spec", spec, "--format", "json"]) == 0

@@ -87,7 +87,7 @@ class TestMetric:
                     assert H.f_alpha_beta[a][b] == H.f_alpha_beta[b][a]
 
     def test_det_numerator_equals_det_metric_times_power(self, rng, veronese, segre):
-        # det(M) = P^{2n} det(g)
+        # det(B) = P^{n+1} det(g)
         specs = [veronese, segre] + [rand_spec(rng, n=2) for _ in range(10)]
         specs += [PotentialSpec(3, (((1, 1, 0), Fraction(1)), ((0, 1, 1), Fraction(1, 2)), ((2, 0, 0), Fraction(3))))]
         for spec in specs:
@@ -95,7 +95,7 @@ class TestMetric:
             D = n * (2 * spec.max_degree() - 1)
             P = build_potential(spec, D)
             lhs = det_numerator(P)
-            rhs = det_metric(metric_in_x(P)) * P.pow_trunc(2 * n)
+            rhs = det_metric(metric_in_x(P)) * P.pow_trunc(n + 1)
             assert lhs == rhs
 
     def test_det_numerator_degree_cap_is_exact(self, rng):
@@ -125,7 +125,7 @@ class TestMetric:
             d = spec.max_degree()
             num = det_numerator(build_potential(spec, n * (2 * d - 1) + 2))
             assert num.coeff((0,) * n).constant_value() == 1
-            assert num.degree() <= n * (2 * d - 1)
+            assert num.degree() <= n * (d - 1) + d
 
 
 class TestResidualAndCertificates:
@@ -169,6 +169,13 @@ class TestResidualAndCertificates:
         assert lambda_in_lowest_terms(Fraction(3)) == (3, 2)
         assert lambda_in_lowest_terms(Fraction(4)) == (2, 1)
         assert lambda_in_lowest_terms(Fraction(10, 3)) == (5, 3)
+
+    def test_constant_above_4n_fails_with_witness(self):
+        # lam/2 = 5/2 > 2n: the exponent e = 2*2 - 5 is negative; det(B) = 1
+        # for CP^1, so det(B)^2 P = 1 + x1 differs from 1 at x1
+        cert = certify_exact(EinsteinCandidate(cpn_unit(1), Fraction(5)))
+        assert (cert.status, cert.witness) == ("FAIL", (1,))
+        assert cert.identity == "det(B)^2 * P^1 = 1"
 
     def test_nonpositive_constant_rejected(self, segre):
         with pytest.raises(ValueError):

@@ -227,6 +227,11 @@ class TestClassification:
         # right potential, wrong constant: must not match any model
         assert classify(veronese, Fraction(1)) == "UNKNOWN"
 
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(-4)])
+    def test_nonpositive_constant_rejected(self, segre, lam):
+        with pytest.raises(ValueError, match="must be positive"):
+            classify(segre, lam)
+
 
 class TestSweep:
     def test_codim_zero_only(self):
