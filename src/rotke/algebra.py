@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,16 @@ def _umono_mul(a: UMono, b: UMono) -> UMono:
     return tuple(sorted(merged.items()))
 
 
+def _terms_mul(a: dict, b: dict) -> dict:
+    """The product of two term dicts, zero coefficients dropped."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _umono_mul(m1, m2)
+            out[m] = out.get(m, _ZERO) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
 def _umono_key(mono: UMono):
     return (sum(e for _, e in mono), mono)
 
@@ -231,19 +241,8 @@ class CoefPoly:
     def __mul__(self, other) -> "CoefPoly":
         if not isinstance(other, CoefPoly):
             return self.scale(other)
-        if not self.terms or not other.terms:
-            return CoefPoly()
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _umono_mul(m1, m2)
-                s = out.get(m, _ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
         res = CoefPoly.__new__(CoefPoly)
-        res.terms = out
+        res.terms = _terms_mul(self.terms, other.terms)
         return res
 
     __rmul__ = __mul__
@@ -290,24 +289,41 @@ class CoefPoly:
         return {k: CoefPoly(t) for k, t in buckets.items()}
 
     def substitute(self, binding: Mapping[str, "CoefPoly"]) -> "CoefPoly":
-        """Replace unknowns by polynomials (values may be CoefPoly/Fraction/int)."""
+        """Replace unknowns by polynomials (values may be CoefPoly/Fraction/int).
+
+        Each term c * (unbound part) * prod(value^e) is expanded straight into
+        one accumulator; each power value^e is computed once per call.
+        """
         if not binding:
             return self
-        out = CoefPoly()
+        powers: dict = {}
+        out: dict = {}
         for mono, c in self.terms.items():
-            term = CoefPoly.const(c)
+            kept = []
+            part = None  # {monomial: coefficient} of the bound factors
             for name, e in mono:
-                if name in binding:
+                if name not in binding:
+                    kept.append((name, e))
+                    continue
+                power = powers.get((name, e))
+                if power is None:
                     val = binding[name]
                     if not isinstance(val, CoefPoly):
                         val = CoefPoly.const(val)
-                    term = term * (val ** e)
-                else:
-                    term = term * CoefPoly({((name, e),): _ONE})
-                if term.is_zero():
+                    power = powers[(name, e)] = (val ** e).terms
+                part = power if part is None else _terms_mul(part, power)
+                if not part:
                     break
-            out = out + term
-        return out
+            kept = tuple(kept)
+            if part is None:
+                out[kept] = out.get(kept, _ZERO) + c
+                continue
+            for u, v in part.items():
+                u = _umono_mul(kept, u)
+                out[u] = out.get(u, _ZERO) + c * v
+        res = CoefPoly.__new__(CoefPoly)
+        res.terms = {u: v for u, v in out.items() if v}
+        return res
 
     def evaluate(self, assignment: Mapping[str, RationalLike]) -> Fraction:
         total = Fraction(0)
@@ -326,13 +342,15 @@ class CoefPoly:
         """
         if not self.terms:
             return self
-        denom_lcm = 1
-        for c in self.terms.values():
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = {m: c.numerator * (denom_lcm // c.denominator) for m, c in self.terms.items()}
+        ints = self.terms
+        if not all(type(c) is int for c in ints.values()):
+            denom_lcm = lcm(*(c.denominator for c in ints.values()))
+            ints = {m: c.numerator * (denom_lcm // c.denominator) for m, c in ints.items()}
         content = gcd(*ints.values())
         if ints[max(ints, key=_umono_key)] < 0:
             content = -content
+        if content == 1 and ints is self.terms:
+            return self
         res = CoefPoly.__new__(CoefPoly)
         res.terms = {m: v // content for m, v in ints.items()}
         return res

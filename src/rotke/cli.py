@@ -29,6 +29,11 @@ from .solver import EngineError, extract_constraints, sweep
 
 PASS, FAIL, USAGE = 0, 1, 2
 
+# Largest --degree any command accepts.  A series of degree D in n variables
+# has up to C(D + n, n) terms, so an unbounded value would run without limit;
+# every degree the documented workflows use is far below the cap.
+MAX_DEGREE = 32
+
 
 class _Usage(Exception):
     pass
@@ -218,7 +223,7 @@ def cmd_oracle_check(args) -> int:
         raise _Usage("oracle-check needs numeric coefficients")
     if spec.n > ORACLE_MAX_DIMENSION:
         raise _Usage(f"the z-space oracle only supports n <= {ORACLE_MAX_DIMENSION}")
-    fast = det_numerator(build_potential(spec, spec.n * (2 * spec.max_degree() - 1)))
+    fast = det_numerator(build_potential(spec, spec.det_b_degree()))
     slow = {m: c for m, c in rotation_project(zspace_det_numerator(spec)).items() if c}
     match = {m: c.constant_value() for m, c in fast.terms.items()} == slow
     payload = {
@@ -250,6 +255,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "degree", None) is not None and args.degree > MAX_DEGREE:
+            raise _Usage(f"--degree must be <= {MAX_DEGREE}")
         return _COMMANDS[args.command](args)
     except (_Usage, SpecFileError) as exc:
         print(f"rotke {args.command}: {exc}", file=sys.stderr)

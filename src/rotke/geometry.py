@@ -35,7 +35,17 @@ from .algebra import (
     support_unknown,
     validate_multiindex,
 )
-from .series import Series, series_diff, series_exp, series_log1p
+from .series import (
+    Parts,
+    Series,
+    _add_graded_product,
+    _collect,
+    _homogeneous_parts,
+    log1p_numerator,
+    series_diff,
+    series_exp,
+    series_log1p,
+)
 
 MAX_DIMENSION = 8
 
@@ -89,6 +99,12 @@ class PotentialSpec:
     def max_degree(self) -> int:
         """deg_x P (1 for the empty support)."""
         return max((mi_degree(m) for m, _ in self.support), default=1)
+
+    def det_b_degree(self) -> int:
+        """n (d - 1) + d with d = deg_x P: the degree of det(B), so the least
+        truncation at which `det_numerator` is exact."""
+        d = self.max_degree()
+        return self.n * (d - 1) + d
 
     def unknowns(self) -> List[Unknown]:
         return [c for _, c in self.support if isinstance(c, Unknown)]
@@ -209,35 +225,46 @@ def _minor_determinant(A: Sequence[Sequence[Series]]) -> Series:
     """det A for a square matrix of series, truncated at their truncation.
 
     Expands along rows 0, 1, ..., keeping the minor on rows 0..r and each
-    column set S (a bitmask) once: m 2^(m-1) series products for m rows.  The
-    minor is kept only to degree trunc - |S minus {0..r}|.  That is exact
-    when every off-diagonal entry of rows 1.. has no term of degree 0, as in
-    `det_numerator`: each such column c is taken by an earlier row, so row c
-    must later pick an off-diagonal entry, of degree >= 1.  Row 0 is free.
+    column set S (a bitmask) once: at most m 2^(m-1) series products for m
+    rows.  The minor is kept only to degree trunc - |S minus {0..r}|.  That
+    is exact when every off-diagonal entry of rows 1.. has no term of degree
+    0, as in `det_numerator`: each such column c is taken by an earlier row,
+    so row c must later pick an off-diagonal entry, of degree >= 1.  Row 0 is
+    free.
+
+    Each minor is built on its own, as sum_{c in S} +-A[r][c] minor[S - c]
+    accumulated in place in one raw accumulator, with the Laplace sign
+    folded into the product.  Identically zero entries and zero minors are
+    skipped; in `det_numerator` the entry x_a Q_ab of row a vanishes unless
+    some support monomial contains both x_a and x_b, so most of B is zero.
     """
     m = len(A)
     nvars, trunc = A[0][0].n, A[0][0].trunc
-    minors: Dict[int, Series] = {0: Series.one(nvars, trunc)}
+    entries = [[_homogeneous_parts(e.terms, trunc) if e.terms else None for e in row] for row in A]
+    minors: Dict[int, Parts] = {0: _homogeneous_parts(Series.one(nvars, trunc).terms, 0)}
     for r in range(m):
         low = (1 << (r + 1)) - 1
-        nxt: Dict[int, Series] = {}
-        for sub, minor in minors.items():
+        targets = sorted({sub | 1 << c for sub in minors for c in range(m) if not sub >> c & 1})
+        nxt: Dict[int, Parts] = {}
+        for cols in targets:
+            cap = trunc - bin(cols & ~low).count("1")
+            if cap < 0:
+                continue
+            acc: Dict[MultiIndex, dict] = {}
             for c in range(m):
                 bit = 1 << c
-                if sub & bit:
+                entry, minor = entries[r][c], minors.get(cols ^ bit) if cols & bit else None
+                if entry is None or minor is None:
                     continue
-                cols = sub | bit
-                cap = trunc - bin(cols & ~low).count("1")
-                if cap < 0:
-                    continue
-                term = A[r][c].mul_trunc(minor, cap)
                 # Laplace sign: (-1)^(columns of cols to the right of c)
-                if bin(sub >> c).count("1") & 1:
-                    term = -term
-                prev = nxt.get(cols)
-                nxt[cols] = term if prev is None else prev + term
+                sign = -1 if bin(cols >> (c + 1)).count("1") & 1 else 1
+                _add_graded_product(acc, entry, minor, cap, sign)
+            terms = _collect(acc, 1)
+            if terms:
+                nxt[cols] = _homogeneous_parts(terms, cap)
         minors = nxt
-    return minors.get((1 << m) - 1, Series.zero(nvars, trunc))
+    full = minors.get((1 << m) - 1, [])
+    return Series(nvars, trunc, {mono: c for part in full for mono, c in part})
 
 
 def det_metric(H: HessianX) -> Series:
@@ -265,7 +292,7 @@ def det_metric(H: HessianX) -> Series:
 def det_numerator(P: Series) -> Series:
     """det(B) for the bordered matrix B = [[P, P_{zbar_b}], [P_{z_a}, P_{z_a zbar_b}]],
     so that det(g) = det(B) / P^(n+1); an exact polynomial in x whenever
-    P.trunc >= n*(deg_x(P) - 1) + deg_x(P).
+    P.trunc >= n*(deg_x(P) - 1) + deg_x(P) (`PotentialSpec.det_b_degree`).
 
     In x-space row 0 is (P, Q_1, ..., Q_n) and row a is x_a d/dx_a of row 0
     plus Q_a on the diagonal, so every off-diagonal entry of row a carries x_a.
@@ -286,20 +313,33 @@ def det_numerator(P: Series) -> Series:
 # ---------------------------------------------------------------------------
 
 
+def ma_log_residual_numerator(P: Series, lam: Union[CoefPoly, Fraction, int]) -> Tuple[int, Series]:
+    """(q, q R) for the residual R of `ma_log_residual`, q = 2 lcm(1..trunc).
+
+    With N = lcm(1..trunc), q R = 2 (N log det(B)) + (lam - 2n - 2) (N log P),
+    both N log terms taken straight from `log1p_numerator`.  For a symbolic
+    spec and a symbolic or integral lam every coefficient is an integer
+    polynomial, so no rational arithmetic is needed.
+    """
+    lam_poly = lam if isinstance(lam, CoefPoly) else CoefPoly.const(lam)
+    one = Series.one(P.n, P.trunc)
+    N, log_detB = log1p_numerator(det_numerator(P) - one)
+    _, log_P = log1p_numerator(P - one)
+    factor = lam_poly + CoefPoly.const(-2 * (P.n + 1))
+    return 2 * N, log_detB.scale(2) + log_P.scale(factor)
+
+
 def ma_log_residual(P: Series, lam: Union[CoefPoly, Fraction, int]) -> Series:
     """R = log det(g) + (lam/2) log P, truncated.
 
     R vanishes identically up to the truncation iff the Einstein identity
     det(g) = P^(-lam/2) holds to that order.  Computed through the bordered
     determinant: log det(g) = log det(B) - (n+1) log P, so
-    R = log1p(det(B) - 1) + (lam/2 - n - 1) log1p(P - 1).
+    R = log1p(det(B) - 1) + (lam/2 - n - 1) log1p(P - 1), by one scale of
+    `ma_log_residual_numerator`.
     """
-    lam_poly = lam if isinstance(lam, CoefPoly) else CoefPoly.const(lam)
-    one = Series.one(P.n, P.trunc)
-    log_detB = series_log1p(det_numerator(P) - one)
-    log_P = series_log1p(P - one)
-    factor = lam_poly.scale(Fraction(1, 2)) + CoefPoly.const(-(P.n + 1))
-    return log_detB + log_P.scale(factor)
+    q, qR = ma_log_residual_numerator(P, lam)
+    return qR.scale(Fraction(1, q))
 
 
 def lambda_in_lowest_terms(lam: Fraction) -> Tuple[int, int]:
@@ -334,7 +374,7 @@ def certify_exact(cand: EinsteinCandidate) -> Certificate:
     p_prime, q_prime = lambda_in_lowest_terms(lam)
     n, d = spec.n, spec.max_degree()
     exponent = (n + 1) * q_prime - p_prime
-    lhs_deg = q_prime * (n * (d - 1) + d) + max(-exponent, 0) * d
+    lhs_deg = q_prime * spec.det_b_degree() + max(-exponent, 0) * d
     P = build_potential(spec, max(lhs_deg, exponent * d))
     lhs = det_numerator(P).pow_trunc(q_prime)
     if exponent >= 0:

@@ -132,18 +132,7 @@ class Series:
         """Cauchy product keeping only terms of total degree <= cap (<= trunc)."""
         cap = min(cap, self.trunc)
         acc: Dict[MultiIndex, dict] = {}
-        left = sorted(self.terms.items(), key=lambda kv: sum(kv[0]))
-        right = sorted(other.terms.items(), key=lambda kv: sum(kv[0]))
-        right_deg = [sum(m) for m, _ in right]
-        for m1, c1 in left:
-            d1 = sum(m1)
-            if d1 > cap:
-                break
-            t1 = c1.terms.items()
-            for (m2, c2), d2 in zip(right, right_deg):
-                if d1 + d2 > cap:
-                    break
-                _add_product(acc, tuple(map(add, m1, m2)), t1, c2.terms)
+        _add_graded_product(acc, _homogeneous_parts(self.terms, cap), _homogeneous_parts(other.terms, cap), cap)
         return _raw(self.n, self.trunc, _collect(acc, 1))
 
     def scale(self, k: CoefLike) -> "Series":
@@ -286,12 +275,30 @@ def _collect(acc: Dict[MultiIndex, dict], q: RationalLike) -> Dict[MultiIndex, C
     return out
 
 
-def _homogeneous_parts(s: Series) -> List[List[Tuple[MultiIndex, CoefPoly]]]:
-    """The terms of s grouped by total degree 0..trunc."""
-    parts: List[List[Tuple[MultiIndex, CoefPoly]]] = [[] for _ in range(s.trunc + 1)]
-    for m, c in s.terms.items():
-        parts[sum(m)].append((m, c))
+Parts = List[List[Tuple[MultiIndex, CoefPoly]]]
+
+
+def _homogeneous_parts(terms: Mapping[MultiIndex, CoefPoly], cap: int) -> Parts:
+    """The terms of degree <= cap grouped by total degree 0..cap: one pass,
+    no sort."""
+    parts: Parts = [[] for _ in range(cap + 1)]
+    for m, c in terms.items():
+        d = sum(m)
+        if d <= cap:
+            parts[d].append((m, c))
     return parts
+
+
+def _add_graded_product(acc: Dict[MultiIndex, dict], left: Parts, right: Parts, cap: int, sign: int = 1) -> None:
+    """acc += sign * left * right over the pairs of total degree <= cap, for
+    `_homogeneous_parts` lists; the sign is folded into the left coefficients."""
+    for d1 in range(min(cap, len(left) - 1) + 1):
+        rights = right[: cap - d1 + 1]
+        for m1, c1 in left[d1]:
+            t1 = c1.terms.items() if sign > 0 else [(u, -a) for u, a in c1.terms.items()]
+            for part in rights:
+                for m2, c2 in part:
+                    _add_product(acc, tuple(map(add, m1, m2)), t1, c2.terms)
 
 
 def _degree_recurrence(
@@ -309,11 +316,11 @@ def _degree_recurrence(
     One pass of |f| x |G| coefficient products.
     """
     n, trunc = f.n, f.trunc
-    f_parts = _homogeneous_parts(f)
-    plus_parts = _homogeneous_parts(plus) if plus is not None else None
+    f_parts = _homogeneous_parts(f.terms, trunc)
+    plus_parts = _homogeneous_parts(plus.terms, trunc) if plus is not None else None
     zero = (0,) * n
     out: Dict[MultiIndex, CoefPoly] = {}
-    g_parts: List[List[Tuple[MultiIndex, CoefPoly]]] = [[]]
+    g_parts: Parts = [[]]
     if not g0.is_zero():
         out[zero] = g0
         g_parts[0].append((zero, g0))
@@ -352,17 +359,25 @@ def _require_zero_constant(u: Series, op: str):
         raise ValueError(f"{op} requires a series with zero constant term")
 
 
-def series_log1p(u: Series) -> Series:
-    """L = log(1 + u), truncated; u must have zero constant term.
+def log1p_numerator(u: Series) -> Tuple[int, Series]:
+    """(N, N log(1 + u)) with N = lcm(1..trunc); u must have zero constant term.
 
     From (1 + u) E(L) = E(u) for the Euler operator E:
-    d L_d = d u_d - sum_{0<j<d} (d - j) u_j L_{d-j}.  It runs on N L with
-    N = lcm(1..trunc): L_d has denominators dividing lcm(1..d) when u has
-    integer coefficients, so then every division in it stays on int.
+    d L_d = d u_d - sum_{0<j<d} (d - j) u_j L_{d-j}, run on N L.  L_d has
+    denominators dividing lcm(1..d) when u has integer coefficients, so then
+    every division in it stays on int and N L is integral.
     """
     _require_zero_constant(u, "series_log1p")
     N = lcm(*range(1, u.trunc + 1))
-    NL = _degree_recurrence(u, CoefPoly(), lambda j, d: j - d, lambda d: d, plus=u.scale(N))
+    return N, _degree_recurrence(u, CoefPoly(), lambda j, d: j - d, lambda d: d, plus=u.scale(N))
+
+
+def series_log1p(u: Series) -> Series:
+    """L = log(1 + u), truncated; u must have zero constant term.
+
+    One scale of `log1p_numerator`.
+    """
+    N, NL = log1p_numerator(u)
     return NL.scale(Fraction(1, N))
 
 

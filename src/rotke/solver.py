@@ -37,6 +37,7 @@ from .geometry import (
     degree_bound_lambda,
     lambda_in_lowest_terms,
     ma_log_residual,
+    ma_log_residual_numerator,
 )
 from .series import Series
 
@@ -72,15 +73,21 @@ class SolveOutcome:
 
 
 def extract_constraints(spec: PotentialSpec, trunc: int) -> ConstraintSystem:
-    """One equation per x-monomial coefficient of the log residual with a
-    symbolic Einstein constant; ordered by (degree, graded-lex monomial)."""
+    """One equation per x-monomial coefficient of the log residual R with a
+    symbolic Einstein constant; ordered by (degree, graded-lex monomial).
+
+    The coefficients are read off the integral multiple q R of
+    `ma_log_residual_numerator` (q = 2 lcm(1..trunc)), not off R itself:
+    `normalized` divides out the content and fixes the sign of the leading
+    term, so a positive factor q leaves every equation unchanged.
+    """
     if trunc < spec.max_degree() + 1:
         raise ValueError(f"truncation {trunc} must exceed the support degree {spec.max_degree()}")
     P = build_potential(spec, trunc)
-    R = ma_log_residual(P, CoefPoly.var(EINSTEIN_NAME))
+    _, qR = ma_log_residual_numerator(P, CoefPoly.var(EINSTEIN_NAME))
     equations = []
     monos = []
-    for m, coef in R.sorted_terms():
+    for m, coef in qR.sorted_terms():
         equations.append(coef.normalized())
         monos.append(m)
     unknowns = tuple(spec.unknowns()) + (EINSTEIN,)

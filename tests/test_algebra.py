@@ -136,6 +136,44 @@ class TestCoefPolyRingLaws:
             expected = a.evaluate({"a": g.evaluate(point), "b": point["b"]})
             assert subbed.evaluate(point) == expected
 
+    @staticmethod
+    def substitute_term_by_term(p, binding):
+        out = CoefPoly()
+        for mono, c in p.terms.items():
+            term = CoefPoly.const(c)
+            for name, e in mono:
+                val = binding.get(name, CoefPoly.var(name))
+                if not isinstance(val, CoefPoly):
+                    val = CoefPoly.const(val)
+                for _ in range(e):
+                    term = term * val
+            out = out + term
+        return out
+
+    def test_substitute_matches_term_by_term(self):
+        rng = random.Random(17)
+        names = ("a", "b", "c")
+        for _ in range(200):
+            p = rand_coefpoly(rng, names=names, max_terms=6)
+            binding = {}
+            for name in rng.sample(names, rng.randint(1, 3)):
+                binding[name] = rng.choice(
+                    [rand_coefpoly(rng, names=("b", "d")), rand_fraction(rng), rng.randint(-2, 2)]
+                )
+            assert p.substitute(binding) == self.substitute_term_by_term(p, binding), (p, binding)
+
+    def test_substitute_cancels_to_zero(self):
+        a, b, c = (CoefPoly.var(name) for name in "abc")
+        cases = [
+            (a ** 2 - b ** 2, {"a": b}),  # a bound term cancels an unbound one
+            (a ** 3 * c - c.scale(8), {"a": 2}),
+            (a ** 2 * b - b.scale(Fraction(1, 9)), {"a": Fraction(-1, 3)}),
+            (a ** 2 - b ** 4 + c, {"a": b ** 2, "c": 0}),
+        ]
+        for p, binding in cases:
+            assert not p.is_zero()
+            assert p.substitute(binding).is_zero()
+
 
 class TestCoefPolyNormalization:
     def test_normalized_is_canonical_for_scalings(self):

@@ -277,3 +277,25 @@ class TestSweepCommand:
         monkeypatch.setattr(rotke.cli.os, "cpu_count", lambda: 4)
         assert main(["sweep", "--dims", "2..2", "--max-codim", "0", "--jobs", "2"]) == 0
         assert seen == [1, 1, 2]
+
+
+LINE = {"n": 1, "log_monomials": [{"exponents": [1], "coef": "1"}]}
+
+
+class TestDegreeCap:
+    @pytest.mark.parametrize("command,payload,extra", [
+        ("verify", VERONESE, []),
+        ("induced", LINE, []),
+        ("normalize", LINE, []),
+        ("constraints", SYMBOLIC, []),
+        ("sweep", None, ["--dims", "2..2", "--max-codim", "1"]),
+    ])
+    def test_degree_above_cap_is_usage_error(self, command, payload, extra, tmp_path, capsys):
+        spec = ["--spec", write(tmp_path, "s.json", payload)] if payload else []
+        assert main([command, *spec, *extra, "--degree", str(rotke.cli.MAX_DEGREE + 1)]) == 2
+        assert f"--degree must be <= {rotke.cli.MAX_DEGREE}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,payload", [("verify", VERONESE), ("induced", LINE), ("normalize", LINE)])
+    def test_degree_at_cap_runs(self, command, payload, tmp_path, capsys):
+        spec = write(tmp_path, "s.json", payload)
+        assert main([command, "--spec", spec, "--degree", str(rotke.cli.MAX_DEGREE)]) == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -20,9 +21,9 @@ from rotke import (
     series_log1p,
 )
 from rotke.algebra import CoefPoly
-from rotke.geometry import _poly_hash, lambda_in_lowest_terms
+from rotke.geometry import _minor_determinant, _poly_hash, lambda_in_lowest_terms
 
-from conftest import cpn_unit, rand_spec
+from conftest import cpn_unit, rand_series, rand_spec
 
 
 def scaled_fubini_study(n, q):
@@ -126,6 +127,55 @@ class TestMetric:
             num = det_numerator(build_potential(spec, n * (2 * d - 1) + 2))
             assert num.coeff((0,) * n).constant_value() == 1
             assert num.degree() <= n * (d - 1) + d
+
+    @staticmethod
+    def leibniz(A):
+        """The literal sum over permutations, sign by inversion count."""
+        m = len(A)
+        n, trunc = A[0][0].n, A[0][0].trunc
+        total = Series.zero(n, trunc)
+        for perm in permutations(range(m)):
+            term = Series.one(n, trunc)
+            for r in range(m):
+                term = term * A[r][perm[r]]
+            inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+            total = total - term if inversions & 1 else total + term
+        return total
+
+    @staticmethod
+    def shaped_like_b(rng, size, n, trunc, numeric, zero_frac=0.4):
+        """A random matrix of series with identically zero entries and, as in
+        det_numerator, no degree-0 term off the diagonal of rows 1.."""
+        A = []
+        for r in range(size):
+            row = []
+            for c in range(size):
+                s = Series.zero(n, trunc)
+                if rng.random() >= zero_frac:
+                    s = rand_series(rng, n=n, trunc=trunc, numeric=numeric)
+                if r and c != r:
+                    s = Series(n, trunc, {m: v for m, v in s.terms.items() if sum(m)})
+                row.append(s)
+            A.append(row)
+        return A
+
+    def test_minor_determinant_matches_leibniz(self, rng):
+        for trial in range(60):
+            size = rng.choice((1, 2, 3, 4))
+            n = rng.choice((1, 2))
+            A = self.shaped_like_b(rng, size, n, rng.randint(1, 5), numeric=trial % 3 != 0)
+            assert _minor_determinant(A) == self.leibniz(A), A
+
+    def test_minor_determinant_of_singular_matrix_is_zero(self, rng):
+        for size in (3, 4):
+            for _ in range(5):
+                A = self.shaped_like_b(rng, size, 2, 4, numeric=True, zero_frac=0.2)
+                # row 2 repeats row 1; neither has a constant term anywhere
+                A[1] = [Series(2, 4, {m: v for m, v in s.terms.items() if sum(m)}) for s in A[1]]
+                A[1][0] = A[1][0] + Series.variable(2, 4, 1)
+                A[size - 1] = list(A[1])
+                assert self.leibniz(A).is_zero()
+                assert _minor_determinant(A).is_zero()
 
 
 class TestResidualAndCertificates:

@@ -10,10 +10,12 @@ import pytest
 
 from rotke import (
     PotentialSpec,
+    build_potential,
     canonical_support,
     classify,
     enumerate_supports,
     extract_constraints,
+    ma_log_residual,
     solve_system,
     sweep,
 )
@@ -278,3 +280,18 @@ def test_infeasible_witness_does_not_depend_on_hash_seed():
         witnesses.add(out.stdout.strip())
     assert witnesses == {"a(0,3)"}
 
+
+
+def test_equations_are_normalized_residual_coefficients():
+    # extract_constraints reads the integral multiple q R; its equations must
+    # be those of R itself with a symbolic Einstein constant
+    rng = random.Random(29)
+    for n in (2, 3, 4):
+        monos = [m for d in (2, 3) for m in monomials_of_degree(n, d)]
+        for _ in range(4):
+            spec = PotentialSpec.symbolic(n, rng.sample(monos, rng.randint(1, 3)))
+            trunc = spec.max_degree() + rng.randint(1, 2 if n < 4 else 1)
+            R = ma_log_residual(build_potential(spec, trunc), LAM)
+            want = [(m, c.normalized()) for m, c in R.sorted_terms()]
+            system = extract_constraints(spec, trunc)
+            assert list(zip(system.residual_monomials, system.equations)) == want, spec

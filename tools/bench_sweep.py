@@ -1,0 +1,143 @@
+"""Time the acceptance sweep per dimension and per layer; append one row to
+BENCH_sweep.json.
+
+    PYTHONPATH=src python3 tools/bench_sweep.py --label change --commit "$(git rev-parse --short HEAD)"
+
+The program timed is the ``rotke`` that PYTHONPATH provides, so the same
+script measures another checkout with PYTHONPATH=<checkout>/src.  The
+acceptance sweep is sweep(range(2, 7), 3, deg_cap=3).  A row holds:
+
+- ``wall_s``: per n, the fastest of --reps untraced runs of
+  sweep([n], 3, deg_cap=3) (the sweep treats every support on its own, so
+  the per-n runs together do the work of the whole sweep);
+- ``layers``: calls, inclusive and self seconds per layer, from one traced
+  run of the whole sweep with perfbench/tracing.Tracer.  The layers are
+  building P, det_numerator, the log1p residual, solve_system,
+  certify_exact and classify; where the program has ``log1p_numerator``
+  (the integral log1p kernel) it is traced as well, so the log layer is
+  the self time of both log spans;
+- the SHA-256 of the sweep's JSON report, the Python version, the CPU model
+  and nproc.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import json
+import os
+import platform
+import sys
+import time
+from datetime import datetime, timezone
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import tracing  # noqa: E402
+
+from rotke import reports  # noqa: E402
+from rotke.solver import sweep  # noqa: E402
+
+DIMS = range(2, 7)
+K_MAX, DEG_CAP = 3, 3
+LAYERS = (
+    "geometry.build_potential",
+    "geometry.det_numerator",
+    "series.series_log1p",
+    "series.log1p_numerator",
+    "solver.solve_system",
+    "geometry.certify_exact",
+    "solver.classify",
+)
+# Traced here besides perfbench's own list, when the program has it.
+EXTRA_TRACED = (("series", "log1p_numerator", None),)
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def per_n_walls(reps: int) -> dict:
+    walls = {}
+    for n in DIMS:
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            sweep([n], K_MAX, deg_cap=DEG_CAP)
+            best = min(best, time.perf_counter() - t0)
+        walls[str(n)] = round(best, 3)
+    return walls
+
+
+def traced_layers():
+    present = tuple(
+        e for e in EXTRA_TRACED if hasattr(importlib.import_module(f"rotke.{e[0]}"), e[1])
+    )
+    tracing.TRACED = tracing.TRACED + present
+    tracer = tracing.Tracer()
+    with tracer:
+        t0 = time.perf_counter()
+        report = sweep(DIMS, K_MAX, deg_cap=DEG_CAP)
+        wall = time.perf_counter() - t0
+    summary = tracing.layer_summary(tracer.spans)
+    layers = {
+        name: {
+            "calls": summary[name]["calls"],
+            "inclusive_s": round(summary[name]["inclusive_s"], 3),
+            "self_s": round(summary[name]["self_s"], 3),
+        }
+        for name in LAYERS
+        if name in summary
+    }
+    text = reports.render_json(reports.sweep_payload(report))
+    return round(wall, 3), layers, hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--label", required=True, help="row label, such as parent or change")
+    p.add_argument("--commit", default="", help="commit the timed program was taken from")
+    p.add_argument("--reps", type=int, default=3, help="untraced runs per dimension")
+    p.add_argument("--out", default=str(ROOT / "BENCH_sweep.json"))
+    args = p.parse_args()
+
+    walls = per_n_walls(args.reps)
+    traced_wall, layers, digest = traced_layers()
+    row = {
+        "label": args.label,
+        "commit": args.commit,
+        "date": datetime.now(timezone.utc).strftime("%Y-%m-%d"),
+        "python": platform.python_version(),
+        "cpu": cpu_model(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
+        "wall_s": walls,
+        "wall_s_total": round(sum(walls.values()), 3),
+        "traced_wall_s": traced_wall,
+        "layers": layers,
+        "report_sha256": digest,
+    }
+    path = Path(args.out)
+    bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {
+        "workload": f"sweep(range(2, 7), {K_MAX}, deg_cap={DEG_CAP}), --jobs 1",
+        "script": "tools/bench_sweep.py",
+        "rows": [],
+    }
+    bench["rows"].append(row)
+    path.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
