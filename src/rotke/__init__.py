@@ -5,7 +5,7 @@ terms, all arithmetic over exact rationals.  Core entry points:
 
 - geometry.build_potential / ma_log_residual / certify_exact
 - solver.extract_constraints / solve_system / sweep / classify
-- oracle.zspace_det_numerator (independent low-dimension cross-check)
+- oracle.det_metric / zspace_det_numerator (independent cross-checks)
 - cli.main (the ``rotke`` command)
 """
 
@@ -25,12 +25,11 @@ from .geometry import (
     build_potential,
     certify_exact,
     degree_bound_lambda,
-    det_metric,
     det_numerator,
     ma_log_residual,
-    metric_in_x,
     projective_induction_check,
 )
+from .oracle import det_metric, metric_in_x
 from .series import Series, series_diff, series_exp, series_log1p
 from .solver import (
     ClassificationReport,

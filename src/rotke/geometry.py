@@ -13,9 +13,9 @@ x-space matrix with row 0 = (P, Q_1, ..., Q_n) and row a = x_a d/dx_a of
 row 0 plus Q_a on the diagonal.  det(B), a polynomial of degree
 n(deg_x P - 1) + deg_x P, is computed by one expansion along rows with the
 minors memoised per column set: the truncation-free certificate compares a
-power of it against a power of P.  The metric
-g_{ab} = delta_{ab} F_a + zbar_a z_b F_{ab} has its own Leibniz determinant,
-kept as an independent reference.
+power of it against a power of P.  The independent references (the metric
+g_{ab} = delta_{ab} F_a + zbar_a z_b F_{ab} with its own Leibniz
+determinant, and a z-space brute force) live in `oracle`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -44,7 +43,6 @@ from .series import (
     log1p_numerator,
     series_diff,
     series_exp,
-    series_log1p,
 )
 
 MAX_DIMENSION = 8
@@ -127,19 +125,6 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
-class HessianX:
-    """First and second x-derivatives of F = log P, Bochner-normalized."""
-
-    n: int
-    f_alpha: Tuple[Series, ...]
-    f_alpha_beta: Tuple[Tuple[Series, ...], ...]
-
-    @property
-    def trunc(self) -> int:
-        return self.f_alpha[0].trunc
-
-
-@dataclass(frozen=True)
 class EinsteinCandidate:
     spec: PotentialSpec
     lam: Fraction
@@ -194,28 +179,6 @@ def bochner_normalize(phi: Series) -> Tuple[Series, Tuple[Fraction, ...]]:
     return normalized, tuple(scales)
 
 
-def metric_in_x(P: Series) -> HessianX:
-    """Derivatives of F = log P; requires P in Bochner form (P(0)=1, linear part sum x)."""
-    if P.coeff((0,) * P.n) != CoefPoly.const(1):
-        raise ValueError("potential must have constant term 1")
-    for alpha in range(1, P.n + 1):
-        m = tuple(1 if i == alpha - 1 else 0 for i in range(P.n))
-        if P.coeff(m) != CoefPoly.const(1):
-            raise ValueError("potential must have unit linear part (Bochner form)")
-    # P is an exact polynomial, so it can be widened by two degrees before
-    # taking the log; otherwise the second derivatives would only be valid to
-    # degree trunc - 2.
-    wide = Series(P.n, P.trunc + 2, P.terms)
-    F = series_log1p(wide - Series.one(P.n, P.trunc + 2))
-    f_alpha_wide = [series_diff(F, a) for a in range(1, P.n + 1)]
-    f_alpha = tuple(fa.truncate(P.trunc) for fa in f_alpha_wide)
-    f_ab = tuple(
-        tuple(series_diff(f_alpha_wide[a], b + 1).truncate(P.trunc) for b in range(P.n))
-        for a in range(P.n)
-    )
-    return HessianX(P.n, f_alpha, f_ab)
-
-
 # ---------------------------------------------------------------------------
 # Determinant in x-space
 # ---------------------------------------------------------------------------
@@ -265,28 +228,6 @@ def _minor_determinant(A: Sequence[Sequence[Series]]) -> Series:
         minors = nxt
     full = minors.get((1 << m) - 1, [])
     return Series(nvars, trunc, {mono: c for part in full for mono, c in part})
-
-
-def det_metric(H: HessianX) -> Series:
-    """det(g_{ab}) as a Series in x, by the Leibniz sum; constant term 1.
-
-    The x-space entries are delta_{ab} F_a + x_a F_{ab}.  Deliberately
-    independent of `_minor_determinant`: it is the reference that
-    det_numerator is tested against.
-    """
-    n = H.n
-    total = Series.zero(n, H.trunc)
-    for perm in permutations(range(n)):
-        term = Series.one(n, H.trunc)
-        for a in range(n):
-            xa = tuple(1 if i == a else 0 for i in range(n))
-            entry = H.f_alpha_beta[a][perm[a]].shift_monomial(xa)
-            if perm[a] == a:
-                entry = H.f_alpha[a] + entry
-            term = term * entry
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total = total - term if inversions & 1 else total + term
-    return total
 
 
 def det_numerator(P: Series) -> Series:

@@ -1,18 +1,79 @@
-"""Independent z-space brute force for the bordered metric determinant.
-
-Deliberately reimplements differentiation and the determinant on a different
-representation (pairs of exponent vectors in z and zbar) so a bug shared with
-the x-space minor expansion cannot cancel out.  Numeric only, n <= 3.
+"""Independent references for the bordered metric determinant, sharing no
+determinant code with the x-space minor expansion so a bug in it cannot
+cancel out: the Leibniz determinant of the metric g_{ab} = delta_{ab} F_a +
+x_a F_{ab}, F = log P (`det_metric`), and a z-space brute force that
+reimplements differentiation and the determinant on pairs of exponent
+vectors in z and zbar (`zspace_det_numerator`, numeric only, n <= 3).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Dict, Tuple
 
-from .algebra import MultiIndex
+from .algebra import CoefPoly, MultiIndex
 from .geometry import PotentialSpec
+from .series import Series, series_diff, series_log1p
+
+
+@dataclass(frozen=True)
+class HessianX:
+    """First and second x-derivatives of F = log P, Bochner-normalized."""
+
+    n: int
+    f_alpha: Tuple[Series, ...]
+    f_alpha_beta: Tuple[Tuple[Series, ...], ...]
+
+    @property
+    def trunc(self) -> int:
+        return self.f_alpha[0].trunc
+
+
+def metric_in_x(P: Series) -> HessianX:
+    """Derivatives of F = log P; requires P in Bochner form (P(0)=1, linear part sum x)."""
+    if P.coeff((0,) * P.n) != CoefPoly.const(1):
+        raise ValueError("potential must have constant term 1")
+    for alpha in range(1, P.n + 1):
+        m = tuple(1 if i == alpha - 1 else 0 for i in range(P.n))
+        if P.coeff(m) != CoefPoly.const(1):
+            raise ValueError("potential must have unit linear part (Bochner form)")
+    # P is an exact polynomial, so it can be widened by two degrees before
+    # taking the log; otherwise the second derivatives would only be valid to
+    # degree trunc - 2.
+    wide = Series(P.n, P.trunc + 2, P.terms)
+    F = series_log1p(wide - Series.one(P.n, P.trunc + 2))
+    f_alpha_wide = [series_diff(F, a) for a in range(1, P.n + 1)]
+    f_alpha = tuple(fa.truncate(P.trunc) for fa in f_alpha_wide)
+    f_ab = tuple(
+        tuple(series_diff(f_alpha_wide[a], b + 1).truncate(P.trunc) for b in range(P.n))
+        for a in range(P.n)
+    )
+    return HessianX(P.n, f_alpha, f_ab)
+
+
+def det_metric(H: HessianX) -> Series:
+    """det(g_{ab}) as a Series in x, by the Leibniz sum; constant term 1.
+
+    The x-space entries are delta_{ab} F_a + x_a F_{ab}.  Deliberately
+    independent of `_minor_determinant`: it is the reference that
+    det_numerator is tested against.
+    """
+    n = H.n
+    total = Series.zero(n, H.trunc)
+    for perm in permutations(range(n)):
+        term = Series.one(n, H.trunc)
+        for a in range(n):
+            xa = tuple(1 if i == a else 0 for i in range(n))
+            entry = H.f_alpha_beta[a][perm[a]].shift_monomial(xa)
+            if perm[a] == a:
+                entry = H.f_alpha[a] + entry
+            term = term * entry
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions & 1 else total + term
+    return total
+
 
 ORACLE_MAX_DIMENSION = 3
 

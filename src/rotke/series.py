@@ -86,17 +86,8 @@ class Series:
     def is_numeric(self) -> bool:
         return all(c.is_constant() for c in self.terms.values())
 
-    def numeric_terms(self) -> Dict[MultiIndex, Fraction]:
-        return {m: c.constant_value() for m, c in self.terms.items()}
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def unknowns(self) -> set:
-        out = set()
-        for c in self.terms.values():
-            out |= c.unknowns()
-        return out
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -11,11 +11,13 @@ is surfaced as UNRESOLVED, never silently dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (
     EINSTEIN,
@@ -23,9 +25,9 @@ from .algebra import (
     CoefPoly,
     MultiIndex,
     Unknown,
+    _umono_key,
     exact_quotient,
     grlex_key,
-    mi_permute,
     monomials_of_degree,
 )
 from .geometry import (
@@ -232,8 +234,7 @@ class _Search:
 
     def _clean(self, eqs: List[CoefPoly]):
         """Normalize each equation; returns (equations, contradiction_witness)."""
-        out = []
-        seen = set()
+        out = set()
         for eq in eqs:
             if eq.is_zero():
                 continue
@@ -246,13 +247,8 @@ class _Search:
                     # c * u^k = 0 with u > 0 contradicts positivity
                     return [], eq.normalized()
                 eq = stripped
-            eq = eq.normalized()
-            key = frozenset(eq.terms.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(eq)
-        out.sort(key=_eq_sort_key)
-        return out, None
+            out.add(eq.normalized())
+        return sorted(out, key=_eq_sort_key), None
 
     def _sign_infeasible(self, eq: CoefPoly) -> bool:
         """Positive combination of positive quantities cannot vanish."""
@@ -268,8 +264,6 @@ class _Search:
         independent coordinates.  Pure linear algebra over the span of the
         equations, so the solution set is unchanged; it routinely exposes
         combinations with strippable monomial factors."""
-        from .algebra import _umono_key
-
         basis: Dict[tuple, CoefPoly] = {}
 
         def reduce_by_basis(eq: CoefPoly) -> CoefPoly:
@@ -356,7 +350,7 @@ class _Search:
                 eqs = [e.substitute({name: expr}) for e in rest]
                 continue
             reduced = self._gauss(eqs)
-            if {frozenset(e.terms.items()) for e in reduced} != {frozenset(e.terms.items()) for e in eqs}:
+            if set(reduced) != set(eqs):
                 eqs = reduced
                 continue
             if self._univariate_step(eqs, bindings, depth):
@@ -452,44 +446,53 @@ def solve_system(system: ConstraintSystem) -> SolveOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _orbit(support: Iterable[MultiIndex], perms) -> Set[Tuple[MultiIndex, ...]]:
-    """The sorted images of a support under the variable permutations perms."""
-    support = [tuple(m) for m in support]
-    return {tuple(sorted(mi_permute(m, p) for m in support)) for p in perms}
+def _permuters(n: int) -> List[Callable[[MultiIndex], MultiIndex]]:
+    """One getter per variable permutation p, mapping m to `mi_permute(m, p)`."""
+    if n == 1:
+        return [tuple]  # itemgetter(0) would return a scalar
+    return [itemgetter(*p) for p in permutations(range(n))]
+
+
+def _images(
+    permuters: Sequence[Callable[[MultiIndex], MultiIndex]], support: Sequence[MultiIndex]
+) -> Iterator[Tuple[MultiIndex, ...]]:
+    """The sorted images of a support under each of `_permuters(n)`."""
+    for get in permuters:
+        yield tuple(sorted(map(get, support)))
 
 
 def canonical_support(n: int, support: Iterable[MultiIndex]) -> Tuple[MultiIndex, ...]:
     """Lexicographically least representative under variable permutations."""
-    return min(_orbit(support, permutations(range(n))))
+    return min(_images(_permuters(n), [tuple(m) for m in support]))
 
 
-def enumerate_supports(
-    n: int, k_max: int, deg_cap: int, sizes: Optional[Iterable[int]] = None
-) -> List[PotentialSpec]:
+def enumerate_supports(n: int, k_max: int, deg_cap: int) -> List[PotentialSpec]:
     """All symbolic supports of size <= k_max with monomial degrees in
-    [2, deg_cap], one canonical representative per variable-permutation orbit."""
+    [2, deg_cap], one canonical representative per variable-permutation
+    orbit; ordered by size, then by the graded-lex keys of the monomials.
+
+    Orderly generation (Read, Ann. Discrete Math. 2, 1978): a sorted support
+    is canonical when no permutation gives a lex-smaller sorted image, and
+    then so is the support minus its largest monomial (adding a monomial can
+    only lower each order statistic of an image).  So the canonical supports
+    of size k + 1 are the canonical extensions s + (m,), m > s[-1], of those
+    of size k, and no orbit is ever stored.
+    """
     if n < 1 or k_max < 0 or deg_cap < 2:
         raise ValueError("need n >= 1, k_max >= 0, deg_cap >= 2")
-    monos = [m for d in range(2, deg_cap + 1) for m in monomials_of_degree(n, d)]
-    wanted = sorted(set(sizes)) if sizes is not None else list(range(0, k_max + 1))
-    perms = list(permutations(range(n)))
-    specs: List[PotentialSpec] = []
-    for size in wanted:
-        if size > k_max:
-            raise ValueError(f"size {size} exceeds k_max {k_max}")
-        if size == 0:
-            specs.append(PotentialSpec(n, ()))
-            continue
-        seen: Set[Tuple[MultiIndex, ...]] = set()
-        reps: List[Tuple[MultiIndex, ...]] = []
-        for comb in combinations(monos, size):
-            key = tuple(sorted(comb))
-            if key in seen:
-                continue
-            orbit = _orbit(comb, perms)
-            seen.update(orbit)
-            reps.append(min(orbit))
-        for rep in sorted(reps, key=lambda s: tuple(grlex_key(m) for m in s)):
+    monos = sorted(m for d in range(2, deg_cap + 1) for m in monomials_of_degree(n, d))
+    permuters = _permuters(n)
+    specs = [PotentialSpec(n, ())]
+    level: List[Tuple[MultiIndex, ...]] = [()]
+    for _ in range(k_max):
+        extended = []
+        for s in level:
+            for m in monos[bisect_right(monos, s[-1]) if s else 0:]:
+                t = s + (m,)
+                if all(img >= t for img in _images(permuters, t)):
+                    extended.append(t)
+        level = extended
+        for rep in sorted(level, key=lambda s: tuple(grlex_key(m) for m in s)):
             specs.append(PotentialSpec.symbolic(n, rep))
     return specs
 
@@ -687,16 +690,16 @@ def sweep(
     tasks = []
     shortcut_entries = []
     for n in dims:
-        for k in range(0, k_max + 1):
-            if k == 0:
-                tasks.append((n, 0, (), trunc))
-            elif n > 2 * k:
-                shortcut_entries.append(
-                    SweepEntry(n, k, (), "SHORTCUT", (), None, f"n > 2k: only the totally geodesic CP^{n}")
-                )
-            else:
-                for spec in enumerate_supports(n, k_max, deg_cap, sizes=[k]):
-                    tasks.append((n, k, tuple(m for m, _ in spec.support), trunc))
+        tasks.append((n, 0, (), trunc))
+        shortcut_entries += [
+            SweepEntry(n, k, (), "SHORTCUT", (), None, f"n > 2k: only the totally geodesic CP^{n}")
+            for k in range(1, k_max + 1)
+            if n > 2 * k
+        ]
+        if n <= 2 * k_max:  # otherwise every k >= 1 is a SHORTCUT
+            for spec in enumerate_supports(n, k_max, deg_cap):
+                if n <= 2 * spec.codimension:  # k = 0 is the task above
+                    tasks.append((n, spec.codimension, tuple(m for m, _ in spec.support), trunc))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

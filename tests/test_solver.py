@@ -19,9 +19,11 @@ from rotke import (
     solve_system,
     sweep,
 )
+from rotke import solver
 from rotke.algebra import (
     CoefPoly,
     EINSTEIN_NAME,
+    grlex_key,
     mi_permute,
     monomials_of_degree,
     monomials_up_to,
@@ -159,26 +161,32 @@ class TestSolveBranches:
 
 class TestEnumeration:
     @staticmethod
-    def naive_orbit_count(n, k_max, deg_cap, size):
+    def naive_orbit_representatives(n, k_max, deg_cap):
+        """Lex-least sorted image of every combination, per size, in the
+        report's order: by size, then by the graded-lex keys."""
         monos = [m for m in monomials_up_to(n, deg_cap) if sum(m) >= 2]
-        orbits = set()
-        for combo in itertools.combinations(monos, size):
-            orbit = min(
-                tuple(sorted(mi_permute(m, p) for m in combo))
-                for p in itertools.permutations(range(n))
-            )
-            orbits.add(orbit)
-        return len(orbits)
+        reps = [()]
+        for size in range(1, k_max + 1):
+            orbits = {
+                min(
+                    tuple(sorted(mi_permute(m, p) for m in combo))
+                    for p in itertools.permutations(range(n))
+                )
+                for combo in itertools.combinations(monos, size)
+            }
+            reps += sorted(orbits, key=lambda s: tuple(grlex_key(m) for m in s))
+        return reps
 
-    @pytest.mark.parametrize("n,k_max,deg_cap", [(2, 3, 3), (3, 2, 3), (2, 2, 4)])
+    @pytest.mark.parametrize(
+        "n,k_max,deg_cap", [(2, 3, 3), (3, 2, 3), (2, 2, 4), (1, 2, 2), (4, 3, 3)]
+    )
     def test_matches_naive_orbit_enumeration(self, n, k_max, deg_cap):
         specs = enumerate_supports(n, k_max, deg_cap)
-        by_size = {}
-        for s in specs:
-            by_size[s.codimension] = by_size.get(s.codimension, 0) + 1
-        assert by_size.get(0, 0) == 1
-        for size in range(1, k_max + 1):
-            assert by_size.get(size, 0) == self.naive_orbit_count(n, k_max, deg_cap, size)
+        expected = [
+            PotentialSpec.symbolic(n, rep)
+            for rep in self.naive_orbit_representatives(n, k_max, deg_cap)
+        ]
+        assert specs == expected
 
     def test_supports_are_canonical_and_unique(self):
         specs = enumerate_supports(3, 3, 3)
@@ -251,6 +259,27 @@ class TestSweep:
         )
         assert tags == ["CPn_scaled(2)", "CPn_unit", "ProductOfLines"]
         assert report.counts()["UNRESOLVED"] == 0
+
+    def test_enumerates_once_per_dimension_and_only_below_2k(self, monkeypatch):
+        calls = []
+        real = solver.enumerate_supports
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "enumerate_supports", spy)
+        report = sweep([7], 3, deg_cap=2)
+        assert calls == []
+        assert [(e.n, e.k, e.support, e.status) for e in report.entries] == [
+            (7, 0, (), "SOLVED"),
+            (7, 1, (), "SHORTCUT"),
+            (7, 2, (), "SHORTCUT"),
+            (7, 3, (), "SHORTCUT"),
+        ]
+        assert report.entries[0].solutions[0].tag == "CPn_unit"
+        sweep([2, 3, 7], 3, deg_cap=2)
+        assert calls == [(2, 3, 2), (3, 3, 2)]
 
     def test_lemma_shortcut_high_dimension(self):
         report = sweep([7], 2)

@@ -12,10 +12,10 @@ acceptance sweep is sweep(range(2, 7), 3, deg_cap=3).  A row holds:
   the per-n runs together do the work of the whole sweep);
 - ``layers``: calls, inclusive and self seconds per layer, from one traced
   run of the whole sweep with perfbench/tracing.Tracer.  The layers are
-  building P, det_numerator, the log1p residual, solve_system,
-  certify_exact and classify; where the program has ``log1p_numerator``
-  (the integral log1p kernel) it is traced as well, so the log layer is
-  the self time of both log spans;
+  enumerate_supports, building P, det_numerator, the log1p residual,
+  solve_system, certify_exact and classify; where the program has
+  ``log1p_numerator`` (the integral log1p kernel) it is traced as well, so
+  the log layer is the self time of both log spans;
 - the SHA-256 of the sweep's JSON report, the Python version, the CPU model
   and nproc.
 """
@@ -44,6 +44,7 @@ from rotke.solver import sweep  # noqa: E402
 DIMS = range(2, 7)
 K_MAX, DEG_CAP = 3, 3
 LAYERS = (
+    "solver.enumerate_supports",
     "geometry.build_potential",
     "geometry.det_numerator",
     "series.series_log1p",
