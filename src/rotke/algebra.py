@@ -44,11 +44,6 @@ def validate_multiindex(m, n: int) -> MultiIndex:
     return m
 
 
-def mi_permute(m: MultiIndex, perm) -> MultiIndex:
-    """Apply a variable permutation: entry i of the result is m[perm[i]]."""
-    return tuple(m[perm[i]] for i in range(len(m)))
-
-
 def monomials_of_degree(n: int, d: int) -> Iterable[MultiIndex]:
     """All multi-indices of length n with total degree exactly d, grlex order."""
     if n == 1:
@@ -416,6 +411,18 @@ class CoefPoly:
 
 def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+
+
+def fraction_terms_repr(poly: CoefPoly) -> str:
+    """repr([(u, Fraction(v)) for u, v in sorted(poly.terms.items())]), byte
+    for byte, without building the Fractions.
+
+    Equation sort keys and certificate hashes read it, so it must not depend
+    on whether a coefficient is stored as int or as Fraction.
+    """
+    return "[" + ", ".join(
+        [f"({u!r}, Fraction({v.numerator}, {v.denominator}))" for u, v in sorted(poly.terms.items())]
+    ) + "]"
 
 
 def parse_rational(text: str) -> Fraction:

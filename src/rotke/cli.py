@@ -7,6 +7,7 @@ input-file errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -251,9 +252,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: parsing keeps no state
+    in it, and building it costs more than a small command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "degree", None) is not None and args.degree > MAX_DEGREE:
             raise _Usage(f"--degree must be <= {MAX_DEGREE}")

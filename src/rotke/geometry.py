@@ -29,6 +29,7 @@ from .algebra import (
     CoefPoly,
     MultiIndex,
     Unknown,
+    fraction_terms_repr,
     grlex_key,
     mi_degree,
     support_unknown,
@@ -290,12 +291,9 @@ def lambda_in_lowest_terms(lam: Fraction) -> Tuple[int, int]:
 
 
 def _poly_hash(s: Series) -> str:
-    h = hashlib.sha256()
-    for m, c in s.sorted_terms():
-        # Fraction(v): the hash must not depend on whether a coefficient is
-        # stored as int or as Fraction.
-        h.update(repr((m, [(u, Fraction(v)) for u, v in sorted(c.terms.items())])).encode())
-    return h.hexdigest()
+    """SHA-256 of repr((m, Fraction terms of c)) over the terms in grlex order."""
+    text = "".join([f"({m!r}, {fraction_terms_repr(c)})" for m, c in s.sorted_terms()])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def certify_exact(cand: EinsteinCandidate) -> Certificate:
@@ -304,7 +302,10 @@ def certify_exact(cand: EinsteinCandidate) -> Certificate:
     With lam/2 = p'/q' in lowest terms and e = (n+1) q' - p', the
     Monge-Ampere equation is equivalent to the exact polynomial identity
     det(B)^q' = P^e, checked as det(B)^q' P^(-e) = 1 when e < 0.  A FAIL
-    names the grlex-least monomial of the difference.
+    names the grlex-least monomial of the difference.  Both powers are
+    `Series.pow_trunc` of numeric series, so where the packed slots are few
+    (every n <= 2 spec) each is one big-integer power; the hashes do not
+    depend on the path.
     """
     spec = cand.spec
     if not spec.is_numeric():

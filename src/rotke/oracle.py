@@ -18,6 +18,14 @@ from .geometry import PotentialSpec
 from .series import Series, series_diff, series_log1p
 
 
+def mi_permute(m: MultiIndex, perm) -> MultiIndex:
+    """Apply a variable permutation: entry i of the result is m[perm[i]].
+
+    The naive reference for the support enumeration's permutation getters.
+    """
+    return tuple(m[perm[i]] for i in range(len(m)))
+
+
 @dataclass(frozen=True)
 class HessianX:
     """First and second x-derivatives of F = log P, Bochner-normalized."""

@@ -27,6 +27,7 @@ from .algebra import (
     Unknown,
     _umono_key,
     exact_quotient,
+    fraction_terms_repr,
     grlex_key,
     monomials_of_degree,
 )
@@ -215,10 +216,7 @@ def _uni_to_poly(name: str, coeffs: Sequence[Fraction]) -> CoefPoly:
 
 
 def _eq_sort_key(eq: CoefPoly):
-    # Fraction(c): the key must not depend on whether a coefficient is stored
-    # as int or as Fraction.
-    terms = [(m, Fraction(c)) for m, c in sorted(eq.terms.items())]
-    return (len(eq.terms), eq.total_degree(), repr(terms))
+    return (len(eq.terms), eq.total_degree(), fraction_terms_repr(eq))
 
 
 class _Search:
@@ -447,7 +445,7 @@ def solve_system(system: ConstraintSystem) -> SolveOutcome:
 
 
 def _permuters(n: int) -> List[Callable[[MultiIndex], MultiIndex]]:
-    """One getter per variable permutation p, mapping m to `mi_permute(m, p)`."""
+    """One getter per variable permutation p; entry i of its image of m is m[p[i]]."""
     if n == 1:
         return [tuple]  # itemgetter(0) would return a scalar
     return [itemgetter(*p) for p in permutations(range(n))]

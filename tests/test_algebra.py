@@ -8,14 +8,15 @@ from rotke.algebra import (
     CoefPoly,
     Unknown,
     format_rational,
+    fraction_terms_repr,
     grlex_key,
-    mi_permute,
     monomials_of_degree,
     monomials_up_to,
     parse_rational,
     support_unknown,
     validate_multiindex,
 )
+from rotke.oracle import mi_permute
 
 from conftest import rand_coefpoly, rand_fraction
 
@@ -230,3 +231,16 @@ class TestCoefficientTypes:
         assert repr(as_int) == repr(as_fraction)
         assert as_int.normalized() == as_fraction.normalized()
 
+
+    def test_fraction_terms_repr_matches_fraction_list_repr(self):
+        rng = random.Random(12)
+        for i in range(300):
+            p = rand_coefpoly(rng, names=("a", "b", "c(1,2)"), max_terms=5)
+            if i % 3 == 0:  # integral coefficients stored as Fraction, not int
+                p = CoefPoly({u: Fraction(v) for u, v in p.terms.items()})
+            elif i % 3 == 1:
+                p = p.scale(-rng.randint(1, 9))
+            old = repr([(u, Fraction(v)) for u, v in sorted(p.terms.items())])
+            assert fraction_terms_repr(p) == old
+        assert fraction_terms_repr(CoefPoly()) == "[]"
+        assert fraction_terms_repr(CoefPoly({(): -3})) == "[((), Fraction(-3, 1))]"

@@ -112,6 +112,31 @@ class TestVerify:
         nolam = write(tmp_path, "nolam.json", {k: v for k, v in VERONESE.items() if k != "lambda"})
         assert main(["verify", "--spec", nolam]) == 2
 
+    def test_parser_built_once_keeps_no_state_between_calls(self, tmp_path, capsys, monkeypatch):
+        spec = write(tmp_path, "v.json", VERONESE)  # lambda 3 in the file: PASS
+        calls = [
+            ["verify", "--spec", spec, "--lambda", "4", "--format", "json", "--exact", "--degree", "3"],
+            ["verify", "--spec", spec, "--lambda", "4", "--format", "json"],
+            ["verify", "--spec", spec],
+        ]
+
+        def run(argv):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            return (rc, *capsys.readouterr())
+
+        cached = [run(argv) for argv in calls]
+        assert rotke.cli._parser() is rotke.cli._parser()
+        monkeypatch.setattr(rotke.cli, "_parser", rotke.cli.build_parser)
+        fresh = [run(argv) for argv in calls]
+        assert cached == fresh
+        assert [rc for rc, _, _ in cached] == [2, 1, 0]
+        assert "not allowed with argument" in cached[0][2]
+        assert json.loads(cached[1][1])["status"] == "FAIL"
+        assert cached[2][1].split()[:2] == ["status", "PASS"]
+
     def test_segre_examples(self, tmp_path, capsys):
         spec = write(tmp_path, "s.json", SEGRE)
         assert main(["verify", "--spec", spec, "--lambda", "4"]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -289,3 +290,12 @@ class TestIntegerCoefficients:
         assert as_int == as_fraction
         assert _poly_hash(as_int) == _poly_hash(as_fraction)
 
+
+    def test_certificate_hash_matches_fraction_repr_digest(self):
+        rng = random.Random(61)
+        for i in range(60):
+            s = rand_series(rng, n=rng.choice((1, 2, 3)), numeric=i % 2 == 0)
+            h = hashlib.sha256()
+            for m, c in s.sorted_terms():
+                h.update(repr((m, [(u, Fraction(v)) for u, v in sorted(c.terms.items())])).encode())
+            assert _poly_hash(s) == h.hexdigest()

@@ -24,12 +24,11 @@ from rotke.algebra import (
     CoefPoly,
     EINSTEIN_NAME,
     grlex_key,
-    mi_permute,
     monomials_of_degree,
     monomials_up_to,
     support_unknown,
 )
-
+from rotke.oracle import mi_permute
 from rotke.solver import _eq_sort_key
 
 from conftest import cpn_unit

@@ -16,6 +16,10 @@ acceptance sweep is sweep(range(2, 7), 3, deg_cap=3).  A row holds:
   solve_system, certify_exact and classify; where the program has
   ``log1p_numerator`` (the integral log1p kernel) it is traced as well, so
   the log layer is the self time of both log spans;
+- ``certify_s``: the fastest of --reps runs of ``certify_exact`` on each of
+  the scaled models CP^4 scaled(2), CP^3 scaled(3) and CP^2 scaled(4), the
+  largest certificates among the models, with P = (1 + sum x / q)^q and
+  lambda = 2(n+1)/q;
 - the SHA-256 of the sweep's JSON report, the Python version, the CPU model
   and nproc.
 """
@@ -31,6 +35,8 @@ import platform
 import sys
 import time
 from datetime import datetime, timezone
+from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +45,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
 
 from rotke import reports  # noqa: E402
+from rotke.algebra import monomials_up_to  # noqa: E402
+from rotke.geometry import EinsteinCandidate, PotentialSpec, certify_exact  # noqa: E402
 from rotke.solver import sweep  # noqa: E402
 
 DIMS = range(2, 7)
@@ -53,6 +61,8 @@ LAYERS = (
     "geometry.certify_exact",
     "solver.classify",
 )
+# (n, q) of the CP^n scaled(q) certificates timed.
+SCALED_MODELS = ((4, 2), (3, 3), (2, 4))
 # Traced here besides perfbench's own list, when the program has it.
 EXTRA_TRACED = (("series", "log1p_numerator", None),)
 
@@ -78,6 +88,32 @@ def per_n_walls(reps: int) -> dict:
             best = min(best, time.perf_counter() - t0)
         walls[str(n)] = round(best, 3)
     return walls
+
+
+def scaled_model(n: int, q: int) -> EinsteinCandidate:
+    """CP^n scaled(q): P = (1 + sum x / q)^q, whose coefficient at x^m is the
+    multinomial q! / ((q - |m|)! prod m_i!) over q^|m|, and lambda = 2(n+1)/q."""
+    support = tuple(
+        (m, Fraction(factorial(q), factorial(q - sum(m)) * prod(map(factorial, m)) * q ** sum(m)))
+        for m in monomials_up_to(n, q)
+        if sum(m) >= 2
+    )
+    return EinsteinCandidate(PotentialSpec(n, support), Fraction(2 * (n + 1), q))
+
+
+def certify_times(reps: int) -> dict:
+    times = {}
+    for n, q in SCALED_MODELS:
+        cand = scaled_model(n, q)
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            cert = certify_exact(cand)
+            best = min(best, time.perf_counter() - t0)
+        if not cert.passed():
+            raise SystemExit(f"CP{n} scaled({q}) did not certify: {cert}")
+        times[f"CP{n}_scaled({q})"] = round(best, 4)
+    return times
 
 
 def traced_layers():
@@ -108,12 +144,13 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="row label, such as parent or change")
     p.add_argument("--commit", default="", help="commit the timed program was taken from")
-    p.add_argument("--reps", type=int, default=3, help="untraced runs per dimension")
+    p.add_argument("--reps", type=int, default=3, help="untraced runs per dimension and per certificate")
     p.add_argument("--out", default=str(ROOT / "BENCH_sweep.json"))
     args = p.parse_args()
 
     walls = per_n_walls(args.reps)
     traced_wall, layers, digest = traced_layers()
+    certify_s = certify_times(args.reps)
     row = {
         "label": args.label,
         "commit": args.commit,
@@ -126,6 +163,7 @@ def main() -> int:
         "wall_s_total": round(sum(walls.values()), 3),
         "traced_wall_s": traced_wall,
         "layers": layers,
+        "certify_s": certify_s,
         "report_sha256": digest,
     }
     path = Path(args.out)
