@@ -11,6 +11,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import reports
 from .algebra import parse_rational
@@ -34,6 +35,14 @@ PASS, FAIL, USAGE = 0, 1, 2
 # has up to C(D + n, n) terms, so an unbounded value would run without limit;
 # every degree the documented workflows use is far below the cap.
 MAX_DEGREE = 32
+
+# Most series terms a degree-bounded command (verify --degree, constraints,
+# induced, normalize) may build: a series of degree D in n variables has up
+# to C(D + n, n) terms, so MAX_DEGREE alone does not bound the work at high n.
+# A dense numeric n = 7 spec (every monomial of degree 2 and 3) takes about
+# 3 s for the log residual at D = 6 (1,716 terms) and took 27 s at D = 8
+# (6,435 terms).  Every n <= 2 degree up to MAX_DEGREE is below the cap.
+MAX_TERMS = 2000
 
 
 class _Usage(Exception):
@@ -120,6 +129,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_terms(n: int, degree: int) -> None:
+    terms = comb(degree + n, n)
+    if terms > MAX_TERMS:
+        raise _Usage(
+            f"degree {degree} in {n} variables means up to {terms} series terms, "
+            f"more than the cap of {MAX_TERMS}; lower --degree"
+        )
+
+
+def _load_potential(args):
+    """The series Phi of a potential file, refused before it is built when
+    its size exceeds the term cap."""
+    data = load_json(args.spec)
+    if isinstance(data, dict):
+        _check_terms(reports.parse_n(data, args.spec), args.degree)
+    return reports.parse_potential(data, args.degree, where=args.spec)
+
+
 def _load_spec(args):
     spec, lam_file = reports.parse_spec(load_json(args.spec), where=args.spec)
     return spec, lam_file
@@ -138,6 +165,7 @@ def cmd_verify(args) -> int:
     if args.degree is not None:
         if args.degree < 1:
             raise _Usage("--degree must be >= 1")
+        _check_terms(spec.n, args.degree)
         residual = ma_log_residual(build_potential(spec, args.degree), lam)
         payload = reports.verify_degree_payload(spec, lam, args.degree, residual)
     else:
@@ -155,6 +183,7 @@ def cmd_constraints(args) -> int:
     trunc = args.degree if args.degree is not None else spec.max_degree() + 2
     if trunc < spec.max_degree() + 1:
         raise _Usage(f"--degree must be >= {spec.max_degree() + 1} for this spec")
+    _check_terms(spec.n, trunc)
     system = extract_constraints(spec, trunc)
     payload = reports.constraints_payload(system, trunc)
     text = reports.render_json(payload) if args.format == "json" else reports.constraints_text(payload)
@@ -196,7 +225,7 @@ def cmd_sweep(args) -> int:
 def cmd_induced(args) -> int:
     if args.degree < 1:
         raise _Usage("--degree must be >= 1")
-    phi = reports.parse_potential(load_json(args.spec), args.degree, where=args.spec)
+    phi = _load_potential(args)
     report = projective_induction_check(phi)
     payload = reports.induced_payload(report)
     text = reports.render_json(payload) if args.format == "json" else reports.induced_text(payload)
@@ -207,7 +236,7 @@ def cmd_induced(args) -> int:
 def cmd_normalize(args) -> int:
     if args.degree < 1:
         raise _Usage("--degree must be >= 1")
-    phi = reports.parse_potential(load_json(args.spec), args.degree, where=args.spec)
+    phi = _load_potential(args)
     try:
         normalized, scaling = bochner_normalize(phi)
     except ValueError as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -290,9 +291,23 @@ def lambda_in_lowest_terms(lam: Fraction) -> Tuple[int, int]:
     return half.numerator, half.denominator
 
 
-def _poly_hash(s: Series) -> str:
-    """SHA-256 of repr((m, Fraction terms of c)) over the terms in grlex order."""
-    text = "".join([f"({m!r}, {fraction_terms_repr(c)})" for m, c in s.sorted_terms()])
+def _poly_hash(s: Series, den: int = 1) -> str:
+    """SHA-256 of repr((m, Fraction terms of c / den)) over the terms in
+    grlex order, for a positive integer den.
+
+    With den != 1 every coefficient must be an int: each c / den is written
+    in lowest terms from the integer numerator with one gcd, so the digest is
+    that of the series divided by den without building it.
+    """
+    if den == 1:
+        text = "".join([f"({m!r}, {fraction_terms_repr(c)})" for m, c in s.sorted_terms()])
+    else:
+        parts = []
+        for m, c in s.sorted_terms():
+            v = c.terms[()]
+            g = gcd(v, den)
+            parts.append(f"({m!r}, [((), Fraction({v // g}, {den // g}))])")
+        text = "".join(parts)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -302,10 +317,21 @@ def certify_exact(cand: EinsteinCandidate) -> Certificate:
     With lam/2 = p'/q' in lowest terms and e = (n+1) q' - p', the
     Monge-Ampere equation is equivalent to the exact polynomial identity
     det(B)^q' = P^e, checked as det(B)^q' P^(-e) = 1 when e < 0.  A FAIL
-    names the grlex-least monomial of the difference.  Both powers are
-    `Series.pow_trunc` of numeric series, so where the packed slots are few
-    (every n <= 2 spec) each is one big-integer power; the hashes do not
-    depend on the path.
+    names the grlex-least monomial of the difference.
+
+    Everything runs on the integral potential D P, D the lcm of the
+    coefficient denominators.  B is (n+1) x (n+1) and linear in P, so
+    det B(D P) = D^(n+1) det B(P), and the identity becomes the integer one
+
+        det B(DP)^q' (DP)^max(-e, 0) = D^p' (DP)^max(e, 0),
+
+    the two sides being D^((n+1) q' + max(-e, 0)) and D^max(e, 0) times
+    those of the rational identity.  The minor expansion, both
+    `Series.pow_trunc` calls (one big-integer power where the packed slots
+    are few, as for every n <= 2 spec) and the comparison stay on int.  The
+    hashes are those of the rational sides: `_poly_hash` divides by the
+    power of D.  A positive scale keeps the support of the difference, so
+    the witness is the rational one too.
     """
     spec = cand.spec
     if not spec.is_numeric():
@@ -317,17 +343,20 @@ def certify_exact(cand: EinsteinCandidate) -> Certificate:
     n, d = spec.n, spec.max_degree()
     exponent = (n + 1) * q_prime - p_prime
     lhs_deg = q_prime * spec.det_b_degree() + max(-exponent, 0) * d
-    P = build_potential(spec, max(lhs_deg, exponent * d))
-    lhs = det_numerator(P).pow_trunc(q_prime)
+    D = lcm(*(c.denominator for _, c in spec.support))
+    DP = build_potential(spec, max(lhs_deg, exponent * d)).scale(D)
+    lhs = det_numerator(DP).pow_trunc(q_prime)
     if exponent >= 0:
-        rhs = P.pow_trunc(exponent)
+        rhs = DP.pow_trunc(exponent)
         identity = f"det(B)^{q_prime} = P^{exponent}"
     else:
-        lhs = lhs * P.pow_trunc(-exponent)
-        rhs = Series.one(n, P.trunc)
+        lhs = lhs * DP.pow_trunc(-exponent)
+        rhs = Series.one(n, DP.trunc)
         identity = f"det(B)^{q_prime} * P^{-exponent} = 1"
-    lhs_hash = _poly_hash(lhs)
-    rhs_hash = _poly_hash(rhs)
+    lhs_hash = _poly_hash(lhs, D ** ((n + 1) * q_prime + max(-exponent, 0)))
+    rhs_hash = _poly_hash(rhs, D ** max(exponent, 0))
+    if D != 1:
+        rhs = rhs.scale(D ** p_prime)
     if lhs == rhs:
         return Certificate("PASS", lam, identity, lhs_hash, rhs_hash)
     witness = min((lhs - rhs).terms, key=grlex_key)

@@ -33,7 +33,7 @@ def _json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_n(data: dict, where: str) -> int:
+def parse_n(data: dict, where: str) -> int:
     try:
         n = data["n"]
     except KeyError:
@@ -78,7 +78,7 @@ def parse_spec(data: dict, where: str = "spec") -> Tuple[PotentialSpec, Optional
     """
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: expected a JSON object")
-    n = _parse_n(data, where)
+    n = parse_n(data, where)
     monomials = data.get("monomials", [])
     if not isinstance(monomials, list):
         raise SpecFileError(f'{where}.monomials: must be a list')
@@ -132,7 +132,7 @@ def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
     """
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: expected a JSON object")
-    n = _parse_n(data, where)
+    n = parse_n(data, where)
 
     def parse_terms(entries, loc):
         terms = {}

@@ -2,11 +2,13 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import rotke.cli
 from rotke import PotentialSpec
+from rotke.algebra import monomials_up_to
 from rotke.cli import main
 from rotke.reports import SpecFileError, emit_spec, parse_potential, parse_spec
 from rotke.solver import ClassificationReport
@@ -324,3 +326,47 @@ class TestDegreeCap:
     def test_degree_at_cap_runs(self, command, payload, tmp_path, capsys):
         spec = write(tmp_path, "s.json", payload)
         assert main([command, "--spec", spec, "--degree", str(rotke.cli.MAX_DEGREE)]) == 0
+
+
+def first_degree_above_term_cap(n):
+    return next(d for d in range(1, rotke.cli.MAX_DEGREE + 1) if comb(d + n, n) > rotke.cli.MAX_TERMS)
+
+
+DENSE7 = {
+    "n": 7,
+    "monomials": [{"exponents": list(m), "coef": "1/7"} for m in monomials_up_to(7, 3) if sum(m) >= 2],
+    "lambda": "3",
+}
+SYMBOLIC7 = {"n": 7, "monomials": [{"exponents": [1, 1, 0, 0, 0, 0, 0], "coef": {"sym": "b"}}]}
+LINES3 = {"n": 3, "series": [{"exponents": e, "coef": "1"} for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
+
+
+class TestTermCap:
+    @pytest.mark.parametrize("command,payload", [
+        ("verify", DENSE7),
+        ("constraints", SYMBOLIC7),
+        ("induced", LINES3),
+        ("normalize", LINES3),
+    ])
+    def test_terms_above_cap_are_usage_error(self, command, payload, tmp_path, capsys):
+        spec = write(tmp_path, "s.json", payload)
+        degree = first_degree_above_term_cap(payload["n"])
+        assert degree <= rotke.cli.MAX_DEGREE
+        assert main([command, "--spec", spec, "--degree", str(degree)]) == 2
+        err = capsys.readouterr().err
+        assert f"more than the cap of {rotke.cli.MAX_TERMS}" in err
+        assert f"up to {comb(degree + payload['n'], payload['n'])} series terms" in err
+
+    def test_terms_at_cap_run(self, tmp_path, capsys):
+        spec = write(tmp_path, "s.json", LINES3)
+        degree = first_degree_above_term_cap(3) - 1
+        assert main(["normalize", "--spec", spec, "--degree", str(degree), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["scaling"] == ["1", "1", "1"]
+
+    def test_every_degree_runs_in_two_variables(self):
+        assert comb(rotke.cli.MAX_DEGREE + 2, 2) <= rotke.cli.MAX_TERMS
+
+    def test_malformed_potential_is_reported_before_the_cap(self, tmp_path, capsys):
+        spec = write(tmp_path, "s.json", {"n": "3", "series": []})
+        assert main(["induced", "--spec", spec, "--degree", "30"]) == 2
+        assert ".n: must be a positive integer" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
@@ -21,7 +22,7 @@ from rotke import (
     series_exp,
     series_log1p,
 )
-from rotke.algebra import CoefPoly
+from rotke.algebra import CoefPoly, grlex_key
 from rotke.geometry import _minor_determinant, _poly_hash, lambda_in_lowest_terms
 
 from conftest import cpn_unit, rand_series, rand_spec
@@ -299,3 +300,109 @@ class TestIntegerCoefficients:
             for m, c in s.sorted_terms():
                 h.update(repr((m, [(u, Fraction(v)) for u, v in sorted(c.terms.items())])).encode())
             assert _poly_hash(s) == h.hexdigest()
+
+
+def with_coefficient_scaled(spec, m, factor):
+    return PotentialSpec(spec.n, tuple((mm, c * factor if mm == m else c) for mm, c in spec.support))
+
+
+class TestIntegralCertificates:
+    """`certify_exact` runs on D P, D the lcm of the coefficient denominators;
+    its reports must be those of the identity on P itself."""
+
+    # (status, identity, lhs_hash, rhs_hash, witness) as computed on P with
+    # Fraction coefficients, before the certificate moved to D P.
+    PINNED = [
+        (scaled_fubini_study(2, 4), Fraction(3, 2), (
+            "PASS", "det(B)^4 = P^9",
+            "5a1c351097921b26c40453da0e32175ca4f66d1f5ee2b699d2a866ced5f8dccf",
+            "5a1c351097921b26c40453da0e32175ca4f66d1f5ee2b699d2a866ced5f8dccf", None)),
+        (with_coefficient_scaled(scaled_fubini_study(2, 4), (0, 2), Fraction(17, 16)), Fraction(3, 2), (
+            "FAIL", "det(B)^4 = P^9",
+            "12469193bfa8dd674b71d6c84ededc5044e56d3269dba8fc47a2906e042615bb",
+            "0a16428b590fdc6c57207f7d319e1c852cbb9c0b06204cc3ccb6ea4b737fd093", (0, 1))),
+        (scaled_fubini_study(3, 2), Fraction(2), (
+            "FAIL", "det(B)^1 = P^3",
+            "c2a7a9445f68eee34f095a08b581fbf56f1d9d290d9ab1258ddf439f92f4f198",
+            "b10245c8fb3df84f3e850f7182c9ec1d83eedb20afece10c1480a2b790963ae1", (0, 0, 1))),
+        (with_coefficient_scaled(scaled_fubini_study(3, 2), (0, 0, 2), Fraction(17, 16)), Fraction(2), (
+            "FAIL", "det(B)^1 = P^3",
+            "c747db1e93631a3b170850520fbc46b3a51f3fdb13874228ce3ab51c9ee01d10",
+            "2f4ca506d2ff152f7f204bc00bc1a509cb6e1bb723b71962b8e9479ae0f6f5b7", (0, 0, 1))),
+        (scaled_fubini_study(3, 2), Fraction(4), (
+            "PASS", "det(B)^1 = P^2",
+            "c2a7a9445f68eee34f095a08b581fbf56f1d9d290d9ab1258ddf439f92f4f198",
+            "c2a7a9445f68eee34f095a08b581fbf56f1d9d290d9ab1258ddf439f92f4f198", None)),
+        (with_coefficient_scaled(scaled_fubini_study(3, 2), (0, 0, 2), Fraction(17, 16)), Fraction(4), (
+            "FAIL", "det(B)^1 = P^2",
+            "c747db1e93631a3b170850520fbc46b3a51f3fdb13874228ce3ab51c9ee01d10",
+            "30b91196497f3bede081e94027bc50eb219abb93d3272995aa664b9895708947", (0, 0, 1))),
+        (scaled_fubini_study(2, 3), Fraction(9, 2), (  # q' = 4
+            "FAIL", "det(B)^4 = P^3",
+            "b4fb20c58554c004ecf15c653431c01d26e73c79ee8df268d98375d8fae4febe",
+            "19cd8eec961f7b3d1c703931548e9407edc91363dd01d786fcbffa146926c347", (0, 1))),
+        (scaled_fubini_study(2, 2), Fraction(7), (  # e < 0
+            "FAIL", "det(B)^2 * P^1 = 1",
+            "8aa0de1089eb26eccaa8632dec12837f782ef4150171ca8ef72d3a1defb2a350",
+            "d141573e97470d4f0ee2fb9123df41d93de7206ebec250a7df20534377bde7eb", (0, 1))),
+        (cpn_unit(1), Fraction(5), (
+            "FAIL", "det(B)^2 * P^1 = 1",
+            "1289d632c5304d72e120943dcc8b1f6d091bbc0d04a44299f6328b8ad4dbb02e",
+            "83938d367ab66c74cd33f694c2f9c548bbf605116e603e31357f8239cbe07b3c", (1,))),
+    ]
+
+    @pytest.mark.parametrize("spec,lam,expected", PINNED)
+    def test_certificate_bytes_pinned(self, spec, lam, expected):
+        cert = certify_exact(EinsteinCandidate(spec, lam))
+        assert (cert.status, cert.identity, cert.lhs_hash, cert.rhs_hash, cert.witness) == expected
+
+    @staticmethod
+    def random_cases(seed, count):
+        """Numeric specs with n <= 3 and denominators up to 30, each with a
+        lam for e > 0, e = 0 and e < 0 in turn."""
+        rng = random.Random(seed)
+        for i in range(count):
+            n = rng.choice((1, 2, 3))
+            spec = rand_spec(rng, n=n, max_deg=3 if n < 3 else 2, max_terms=3)
+            spec = PotentialSpec(n, tuple(
+                (m, Fraction(rng.randint(1, 40), rng.randint(1, 30))) for m, _ in spec.support
+            ))
+            if i % 3 == 1:  # e = 0
+                q_prime, p_prime = 1, n + 1
+            else:
+                q_prime = rng.randint(1, 2 if n < 3 else 1)
+                top = (n + 1) * q_prime
+                p_prime = rng.randint(1, top - 1) if i % 3 == 0 else top + rng.randint(1, 3)
+            yield spec, Fraction(2 * p_prime, q_prime)
+
+    def test_matches_direct_rational_check(self):
+        seen = set()
+        for spec, lam in self.random_cases(71, 30):
+            p_prime, q_prime = lambda_in_lowest_terms(lam)
+            e = (spec.n + 1) * q_prime - p_prime
+            seen.add((e > 0) - (e < 0))
+            d = spec.max_degree()
+            P = build_potential(spec, max(q_prime * spec.det_b_degree() + max(-e, 0) * d, e * d))
+            lhs = det_numerator(P).pow_trunc(q_prime)
+            if e >= 0:
+                rhs = P.pow_trunc(e)
+            else:
+                lhs, rhs = lhs * P.pow_trunc(-e), Series.one(spec.n, P.trunc)
+            witness = None if lhs == rhs else min((lhs - rhs).terms, key=grlex_key)
+            cert = certify_exact(EinsteinCandidate(spec, lam))
+            assert (cert.status, cert.witness) == ("PASS" if lhs == rhs else "FAIL", witness)
+            assert (cert.lhs_hash, cert.rhs_hash) == (_poly_hash(lhs), _poly_hash(rhs))
+        assert seen == {-1, 0, 1}
+
+    def test_det_numerator_scales_by_d_to_the_n_plus_one(self):
+        for spec, _ in self.random_cases(72, 12):
+            D = lcm(*(c.denominator for _, c in spec.support))
+            P = build_potential(spec, spec.det_b_degree())
+            assert det_numerator(P.scale(D)) == det_numerator(P).scale(D ** (spec.n + 1))
+
+    def test_hash_with_denominator_is_hash_of_quotient(self, rng):
+        for _ in range(60):
+            s = rand_series(rng, n=rng.choice((1, 2, 3)))
+            integral = s.scale(lcm(*(v.denominator for c in s.terms.values() for v in c.terms.values())))
+            for den in (1, rng.randint(2, 50), 2 ** rng.randint(1, 20)):
+                assert _poly_hash(integral, den) == _poly_hash(integral.scale(Fraction(1, den)))

@@ -17,9 +17,10 @@ acceptance sweep is sweep(range(2, 7), 3, deg_cap=3).  A row holds:
   ``log1p_numerator`` (the integral log1p kernel) it is traced as well, so
   the log layer is the self time of both log spans;
 - ``certify_s``: the fastest of --reps runs of ``certify_exact`` on each of
-  the scaled models CP^4 scaled(2), CP^3 scaled(3) and CP^2 scaled(4), the
-  largest certificates among the models, with P = (1 + sum x / q)^q and
-  lambda = 2(n+1)/q;
+  the scaled models CP^4 scaled(2), CP^3 scaled(3), CP^2 scaled(4),
+  CP^2 scaled(3) and CP^3 scaled(2), with P = (1 + sum x / q)^q and
+  lambda = 2(n+1)/q: the largest certificates among the models, and those
+  whose bordered determinant det B costs most next to the powers;
 - the SHA-256 of the sweep's JSON report, the Python version, the CPU model
   and nproc.
 """
@@ -62,7 +63,7 @@ LAYERS = (
     "solver.classify",
 )
 # (n, q) of the CP^n scaled(q) certificates timed.
-SCALED_MODELS = ((4, 2), (3, 3), (2, 4))
+SCALED_MODELS = ((4, 2), (3, 3), (2, 4), (2, 3), (3, 2))
 # Traced here besides perfbench's own list, when the program has it.
 EXTRA_TRACED = (("series", "log1p_numerator", None),)
 
