@@ -12,10 +12,10 @@ conjugating B by diag(1, z) leaves the determinant unchanged and gives the
 x-space matrix with row 0 = (P, Q_1, ..., Q_n) and row a = x_a d/dx_a of
 row 0 plus Q_a on the diagonal.  det(B), a polynomial of degree
 n(deg_x P - 1) + deg_x P, is computed by one expansion along rows with the
-minors memoised per column set: the truncation-free certificate compares a
-power of it against a power of P.  The independent references (the metric
-g_{ab} = delta_{ab} F_a + zbar_a z_b F_{ab} with its own Leibniz
-determinant, and a z-space brute force) live in `oracle`.
+minors memoised per column set: the certificate compares a power of it
+against a power of P through degree deg det(B) + deg P.  The independent
+references (the metric g_{ab} = delta_{ab} F_a + zbar_a z_b F_{ab} with its
+own Leibniz determinant, and a z-space brute force) live in `oracle`.
 """
 
 from __future__ import annotations
@@ -134,8 +134,9 @@ class EinsteinCandidate:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of the truncation-free polynomial identity det(B)^q' = P^((n+1)q' - p');
-    `identity` states the form that was checked."""
+    """Outcome of the exact polynomial identity det(B)^q' = P^((n+1)q' - p');
+    `identity` states the form that was checked, and both sides are compared
+    and hashed through the degree top of `certify_exact`."""
 
     status: str  # "PASS" | "FAIL"
     lam: Fraction
@@ -312,12 +313,24 @@ def _poly_hash(s: Series, den: int = 1) -> str:
 
 
 def certify_exact(cand: EinsteinCandidate) -> Certificate:
-    """Truncation-free proof of the Einstein identity for a numeric candidate.
+    """Exact proof or refutation of the Einstein identity for a numeric candidate.
 
     With lam/2 = p'/q' in lowest terms and e = (n+1) q' - p', the
-    Monge-Ampere equation is equivalent to the exact polynomial identity
+    Monge-Ampere equation is equivalent to the polynomial identity
     det(B)^q' = P^e, checked as det(B)^q' P^(-e) = 1 when e < 0.  A FAIL
     names the grlex-least monomial of the difference.
+
+    The sides are compared through degree top = max(det_b_degree,
+    min(full, deg F + deg P)), F = det B and full the larger degree of the
+    two sides; P and F are widened to top only when it exceeds det_b_degree.
+    Lemma: let G = F^q' P^(-e), both F and P having constant term 1, and
+    H = q' P E(F) - e E(P) F, E the Euler operator (d times the degree-d
+    part).  Then E(G)/G = H/(F P) and deg H <= deg F + deg P.  If the sides
+    agree through degree deg F + deg P, then G - 1, E(G) and H = F P E(G)/G
+    vanish through it, so H = 0, E(G) = 0 and G = G(0) = 1: the identity
+    holds exactly.  The same argument puts the lowest-degree difference of
+    any FAIL at or below that degree, and grlex orders by degree first, so
+    the witness is that of the full identity.
 
     Everything runs on the integral potential D P, D the lcm of the
     coefficient denominators.  B is (n+1) x (n+1) and linear in P, so
@@ -327,11 +340,10 @@ def certify_exact(cand: EinsteinCandidate) -> Certificate:
 
     the two sides being D^((n+1) q' + max(-e, 0)) and D^max(e, 0) times
     those of the rational identity.  The minor expansion, both
-    `Series.pow_trunc` calls (one big-integer power where the packed slots
-    are few, as for every n <= 2 spec) and the comparison stay on int.  The
-    hashes are those of the rational sides: `_poly_hash` divides by the
-    power of D.  A positive scale keeps the support of the difference, so
-    the witness is the rational one too.
+    `Series.pow_trunc` calls and the comparison stay on int.  The hashes
+    are those of the rational sides through degree top: `_poly_hash`
+    divides by the power of D.  A positive scale keeps the support of the
+    difference, so the witness is the rational one too.
     """
     spec = cand.spec
     if not spec.is_numeric():
@@ -342,10 +354,15 @@ def certify_exact(cand: EinsteinCandidate) -> Certificate:
     p_prime, q_prime = lambda_in_lowest_terms(lam)
     n, d = spec.n, spec.max_degree()
     exponent = (n + 1) * q_prime - p_prime
-    lhs_deg = q_prime * spec.det_b_degree() + max(-exponent, 0) * d
     D = lcm(*(c.denominator for _, c in spec.support))
-    DP = build_potential(spec, max(lhs_deg, exponent * d)).scale(D)
-    lhs = det_numerator(DP).pow_trunc(q_prime)
+    DP = build_potential(spec, spec.det_b_degree()).scale(D)
+    det_b = det_numerator(DP)
+    deg_b = det_b.degree()
+    full = max(q_prime * deg_b + max(-exponent, 0) * d, max(exponent, 0) * d)
+    top = min(full, deg_b + d)
+    if top > DP.trunc:
+        DP, det_b = Series(n, top, DP.terms), Series(n, top, det_b.terms)
+    lhs = det_b.pow_trunc(q_prime)
     if exponent >= 0:
         rhs = DP.pow_trunc(exponent)
         identity = f"det(B)^{q_prime} = P^{exponent}"

@@ -9,9 +9,8 @@ error, never an implicit min.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import lcm, prod
-from operator import add, mul
+from math import lcm
+from operator import add
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .algebra import (
@@ -146,21 +145,16 @@ class Series:
         of repeated squaring (J.C.P. Miller; Knuth, TAOCP 2, 4.7).  It runs
         on (D self)^k, D the common denominator of the coefficients, whose
         coefficients are integers, so every division in it is exact and
-        stays on int; the result is divided by D^k once at the end.
-
-        When every coefficient is numeric and the packed slots of the result
-        are few enough (`_pack_sizes`), (D self)^k is instead one big-integer
-        power by Kronecker substitution (`_pow_packed`); the two paths give
-        equal series.
+        stays on int; the result is divided by D^k once at the end.  This is
+        the only power path for a unit constant term: `certify_exact`
+        compares through degree deg det B + deg P whatever k is, so its
+        powers stay short.
         """
         if k < 0:
             raise ValueError("negative powers are not defined for Series")
         c0 = self.constant_term()
         if k > 1 and c0.is_constant() and not c0.is_zero():
             D = lcm(*(v.denominator for c in self.terms.values() for v in c.terms.values()))
-            sizes = _pack_sizes(self, k) if self.is_numeric() else None
-            if sizes is not None:
-                return _pow_packed(self, k, D, sizes)
             f = self if D == 1 else self.scale(D)
             c = c0.terms[()] * D
             F = _degree_recurrence(f, CoefPoly.const(c ** k), lambda j, d: (k + 1) * j - d, lambda d: d * c)
@@ -347,74 +341,6 @@ def _degree_recurrence(
         out.update(part)
         g_parts.append(list(part.items()))
     return _raw(n, trunc, out)
-
-
-# Kronecker substitution (Harvey, J. Symb. Comp. 44, 2009) packs a series
-# into one integer, a slot of w bits per monomial of the slot box, so a power
-# is one big-integer power.  Every slot of the box costs work, also the ones
-# past the truncation degree, while the recurrence costs work only per kept
-# monomial.  Pack only when the box has at most this many slots per monomial
-# of degree <= trunc in it: a dense power in n variables fills about 1/n! of
-# its box below the total-degree cap, so every n <= 2 certificate packs and
-# dense n >= 3 ones keep the recurrence (P^16 at n = 7 would need 17^7 slots).
-PACK_SLOTS_PER_MONOMIAL = 2
-
-
-def _pack_sizes(f: Series, k: int) -> Optional[List[int]]:
-    """The slot counts S_i = k (max exponent of x_i in f) + 1 of the packing
-    of f^k, or None when their product exceeds PACK_SLOTS_PER_MONOMIAL times
-    the number of box monomials of total degree <= f.trunc."""
-    sizes = [k * e + 1 for e in map(max, zip(*f.terms))]
-    held = [1] + [0] * f.trunc  # held[d]: box monomials of degree d so far
-    for s in sizes:
-        run, nxt = 0, []
-        for d in range(f.trunc + 1):
-            run += held[d] - (held[d - s] if d >= s else 0)
-            nxt.append(run)
-        held = nxt
-    return sizes if prod(sizes) <= PACK_SLOTS_PER_MONOMIAL * sum(held) else None
-
-
-def _pow_packed(f: Series, k: int, D: int, sizes: List[int]) -> Series:
-    """f^k, truncated, for numeric f by Kronecker substitution.
-
-    The monomial m goes to slot sum_i m_i prod_{j<i} S_j of width
-    w = bitlen(|D f|_1^k) + 2 bits.  S_i > k (max exponent of x_i), so no
-    monomial of (D f)^k wraps into another slot, and each coefficient of it
-    is below |D f|_1^k < 2^(w-2) in size, so adding 2^(w-1) to every slot
-    makes them all nonnegative without carries.  Slots of degree > trunc are
-    dropped and the rest divided by D^k.
-    """
-    strides = [1]
-    for s in sizes:
-        strides.append(strides[-1] * s)
-    coefs = {sum(map(mul, m, strides)): int(c.terms[()] * D) for m, c in f.terms.items()}
-    w = (sum(map(abs, coefs.values())) ** k).bit_length() + 2
-    half = 1 << (w - 1)
-    digits = [half] * (max(coefs) + 1)
-    for pos, v in coefs.items():
-        digits[pos] += v
-    slots = strides[-1]
-    # Packing and unpacking go through binary strings, which is linear time.
-    bias = int(("1" + "0" * (w - 1)) * slots, 2)  # 2^(w-1) in every slot
-    packed = int("".join(format(v, f"0{w}b") for v in reversed(digits)), 2)
-    x = packed - (bias & ((1 << (w * len(digits))) - 1))
-    bits = format(x ** k + bias, f"0{slots * w}b")
-    Dk = D ** k
-    out: Dict[MultiIndex, CoefPoly] = {}
-    end = slots * w
-    for rev in product(*map(range, reversed(sizes))):
-        if sum(rev) <= f.trunc:
-            v = int(bits[end - w:end], 2) - half
-            if v:
-                if Dk != 1:
-                    v = Fraction(v, Dk)
-                    v = v.numerator if v.denominator == 1 else v
-                p = CoefPoly.__new__(CoefPoly)
-                p.terms = {(): v}
-                out[rev[::-1]] = p
-        end -= w
-    return _raw(f.n, f.trunc, out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,15 @@ VERONESE = {
 
 SEGRE = {"n": 2, "monomials": [{"exponents": [1, 1], "coef": "1"}], "lambda": "4"}
 
+# (1 + (x1 + x2)/4)^4, Einstein constant 3/2
+CP2_SCALED4 = {
+    "n": 2,
+    "monomials": [
+        {"exponents": [a, b], "coef": str(Fraction(comb(4, a) * comb(4 - a, b), 4 ** (a + b)))}
+        for a in range(5) for b in range(5 - a) if a + b >= 2
+    ],
+}
+
 SYMBOLIC = {
     "n": 2,
     "monomials": [
@@ -145,6 +154,14 @@ class TestVerify:
         assert main(["verify", "--spec", spec, "--lambda", "6"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness" in out
+
+    def test_large_denominator_lambda_fails_quickly(self, tmp_path, capsys):
+        # CP^2 scaled(4) at lambda = 51/32: q' = 64, compared through degree 13
+        spec = write(tmp_path, "s4.json", CP2_SCALED4)
+        assert main(["verify", "--spec", spec, "--lambda", "51/32", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["status"], payload["identity"]) == ("FAIL", "det(B)^64 = P^141")
+        assert payload["witness_monomial"] == [0, 1]
 
     def test_symbolic_spec_is_usage_error(self, tmp_path, capsys):
         spec = write(tmp_path, "sym.json", SYMBOLIC)

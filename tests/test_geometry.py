@@ -310,17 +310,21 @@ class TestIntegralCertificates:
     """`certify_exact` runs on D P, D the lcm of the coefficient denominators;
     its reports must be those of the identity on P itself."""
 
-    # (status, identity, lhs_hash, rhs_hash, witness) as computed on P with
-    # Fraction coefficients, before the certificate moved to D P.
+    # (status, identity, lhs_hash, rhs_hash, witness).  Status, identity and
+    # witness are those of the full-degree identity on P with Fraction
+    # coefficients; the hashes are of its two sides through the compared
+    # degree (`reference`).  That degree is below the full one for
+    # CP^2 scaled(4) and its twin, CP^2 scaled(3) at 9/2 and CP^2 scaled(2)
+    # at 7, whose hashes changed when the comparison became degree-bounded.
     PINNED = [
         (scaled_fubini_study(2, 4), Fraction(3, 2), (
             "PASS", "det(B)^4 = P^9",
-            "5a1c351097921b26c40453da0e32175ca4f66d1f5ee2b699d2a866ced5f8dccf",
-            "5a1c351097921b26c40453da0e32175ca4f66d1f5ee2b699d2a866ced5f8dccf", None)),
+            "db7a95acc037d28844d7a0ecc3f7cfa6c5ed44471070ea6bc83771f6bd8bae4a",
+            "db7a95acc037d28844d7a0ecc3f7cfa6c5ed44471070ea6bc83771f6bd8bae4a", None)),
         (with_coefficient_scaled(scaled_fubini_study(2, 4), (0, 2), Fraction(17, 16)), Fraction(3, 2), (
             "FAIL", "det(B)^4 = P^9",
-            "12469193bfa8dd674b71d6c84ededc5044e56d3269dba8fc47a2906e042615bb",
-            "0a16428b590fdc6c57207f7d319e1c852cbb9c0b06204cc3ccb6ea4b737fd093", (0, 1))),
+            "65e5f878a4d9599c84b61e1fc13c640079ec91f0fcfb5555444303f4c693b532",
+            "4efd87cdfacdf3ff7e4f811e266267abdf89e9a3ff5082306bb9c2aa9388bf1a", (0, 1))),
         (scaled_fubini_study(3, 2), Fraction(2), (
             "FAIL", "det(B)^1 = P^3",
             "c2a7a9445f68eee34f095a08b581fbf56f1d9d290d9ab1258ddf439f92f4f198",
@@ -339,11 +343,11 @@ class TestIntegralCertificates:
             "30b91196497f3bede081e94027bc50eb219abb93d3272995aa664b9895708947", (0, 0, 1))),
         (scaled_fubini_study(2, 3), Fraction(9, 2), (  # q' = 4
             "FAIL", "det(B)^4 = P^3",
-            "b4fb20c58554c004ecf15c653431c01d26e73c79ee8df268d98375d8fae4febe",
+            "03e97deea1648665be450d573a3ae15e9fcd143bfc207e0bfd5a4a360650aa34",
             "19cd8eec961f7b3d1c703931548e9407edc91363dd01d786fcbffa146926c347", (0, 1))),
         (scaled_fubini_study(2, 2), Fraction(7), (  # e < 0
             "FAIL", "det(B)^2 * P^1 = 1",
-            "8aa0de1089eb26eccaa8632dec12837f782ef4150171ca8ef72d3a1defb2a350",
+            "84e58cb378fd0242d247c05128392b2919665433b7e98da5c453cbbc2eff4822",
             "d141573e97470d4f0ee2fb9123df41d93de7206ebec250a7df20534377bde7eb", (0, 1))),
         (cpn_unit(1), Fraction(5), (
             "FAIL", "det(B)^2 * P^1 = 1",
@@ -359,7 +363,7 @@ class TestIntegralCertificates:
     @staticmethod
     def random_cases(seed, count):
         """Numeric specs with n <= 3 and denominators up to 30, each with a
-        lam for e > 0, e = 0 and e < 0 in turn."""
+        lam for e > 0, e = 0 and e < 0 in turn; q' <= 4 for n <= 2."""
         rng = random.Random(seed)
         for i in range(count):
             n = rng.choice((1, 2, 3))
@@ -370,29 +374,63 @@ class TestIntegralCertificates:
             if i % 3 == 1:  # e = 0
                 q_prime, p_prime = 1, n + 1
             else:
-                q_prime = rng.randint(1, 2 if n < 3 else 1)
+                q_prime = rng.randint(1, 4 if n < 3 else 1)
                 top = (n + 1) * q_prime
                 p_prime = rng.randint(1, top - 1) if i % 3 == 0 else top + rng.randint(1, 3)
             yield spec, Fraction(2 * p_prime, q_prime)
 
+    @staticmethod
+    def reference(spec, lam):
+        """(status, witness, lhs_hash, rhs_hash, truncated) of the identity on P
+        with Fraction coefficients, both sides expanded to their full degree
+        and hashed through the degree the certificate compares,
+        max(det_b_degree, min(full degree, deg det B + deg P))."""
+        p_prime, q_prime = lambda_in_lowest_terms(lam)
+        e = (spec.n + 1) * q_prime - p_prime
+        d = spec.max_degree()
+        P = build_potential(spec, max(q_prime * spec.det_b_degree() + max(-e, 0) * d, e * d))
+        lhs = det_numerator(P).pow_trunc(q_prime)
+        if e >= 0:
+            rhs = P.pow_trunc(e)
+        else:
+            lhs, rhs = lhs * P.pow_trunc(-e), Series.one(spec.n, P.trunc)
+        witness = None if lhs == rhs else min((lhs - rhs).terms, key=grlex_key)
+        deg_b = det_numerator(build_potential(spec, spec.det_b_degree())).degree()
+        full = max(lhs.degree(), rhs.degree())
+        top = max(spec.det_b_degree(), min(full, deg_b + d))
+        status = "PASS" if lhs == rhs else "FAIL"
+        return status, witness, _poly_hash(lhs.truncate(top)), _poly_hash(rhs.truncate(top)), top < full
+
+    @pytest.mark.parametrize("spec,lam,expected", PINNED)
+    def test_pinned_bytes_are_the_reference(self, spec, lam, expected):
+        status, identity, lhs_hash, rhs_hash, witness = expected
+        assert self.reference(spec, lam)[:4] == (status, witness, lhs_hash, rhs_hash)
+
     def test_matches_direct_rational_check(self):
         seen = set()
-        for spec, lam in self.random_cases(71, 30):
+        for spec, lam in self.random_cases(71, 60):
             p_prime, q_prime = lambda_in_lowest_terms(lam)
             e = (spec.n + 1) * q_prime - p_prime
-            seen.add((e > 0) - (e < 0))
-            d = spec.max_degree()
-            P = build_potential(spec, max(q_prime * spec.det_b_degree() + max(-e, 0) * d, e * d))
-            lhs = det_numerator(P).pow_trunc(q_prime)
-            if e >= 0:
-                rhs = P.pow_trunc(e)
-            else:
-                lhs, rhs = lhs * P.pow_trunc(-e), Series.one(spec.n, P.trunc)
-            witness = None if lhs == rhs else min((lhs - rhs).terms, key=grlex_key)
+            status, witness, lhs_hash, rhs_hash, truncated = self.reference(spec, lam)
             cert = certify_exact(EinsteinCandidate(spec, lam))
-            assert (cert.status, cert.witness) == ("PASS" if lhs == rhs else "FAIL", witness)
-            assert (cert.lhs_hash, cert.rhs_hash) == (_poly_hash(lhs), _poly_hash(rhs))
-        assert seen == {-1, 0, 1}
+            assert (cert.status, cert.witness) == (status, witness)
+            assert (cert.lhs_hash, cert.rhs_hash) == (lhs_hash, rhs_hash)
+            seen.add(((e > 0) - (e < 0), q_prime > 2, truncated))
+        assert {sign for sign, _, _ in seen} == {-1, 0, 1}
+        assert {(big, truncated) for _, big, truncated in seen} >= {(True, True), (False, False)}
+
+    @pytest.mark.parametrize("spec,lam,witness", [
+        (scaled_fubini_study(2, 4), Fraction(51, 32), (0, 1)),  # q' = 64, e = 141
+        (cpn_unit(1), Fraction(10 ** 6), (1,)),  # e = 2 - 10^6
+    ])
+    def test_powers_stay_within_deg_det_b_plus_deg_p(self, spec, lam, witness, monkeypatch):
+        truncs = []
+        real = Series.pow_trunc
+        monkeypatch.setattr(Series, "pow_trunc", lambda s, k: truncs.append(s.trunc) or real(s, k))
+        cert = certify_exact(EinsteinCandidate(spec, lam))
+        assert (cert.status, cert.witness) == ("FAIL", witness)
+        deg_b = det_numerator(build_potential(spec, spec.det_b_degree())).degree()
+        assert truncs and max(truncs) <= deg_b + spec.max_degree()
 
     def test_det_numerator_scales_by_d_to_the_n_plus_one(self):
         for spec, _ in self.random_cases(72, 12):

@@ -1,12 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from rotke import Series, series, series_diff, series_exp, series_log1p
+from rotke import Series, series_diff, series_exp, series_log1p
 from rotke.algebra import CoefPoly
-from rotke.geometry import _poly_hash
 
 from conftest import rand_fraction, rand_series
 
@@ -161,83 +159,3 @@ class TestStructure:
             s = rand_series(rng)
             k = rand_fraction(rng)
             assert s.scale(k) == s.scale(k // 1) + s.scale(k - k // 1)
-
-
-def recurrence_pow(s, k, monkeypatch):
-    """s^k by the degree recurrence, the packed path switched off."""
-    with monkeypatch.context() as mp:
-        mp.setattr(series, "_pack_sizes", lambda f, k: None)
-        return s.pow_trunc(k)
-
-
-def rand_unit_series(rng, n, trunc, max_exp=3, max_terms=6):
-    """A random numeric series with a nonzero constant term and negative and
-    rational coefficients."""
-    terms = {(0,) * n: rand_fraction(rng, max_abs=9, max_den=7, nonzero=True)}
-    for _ in range(rng.randint(0, max_terms)):
-        m = tuple(rng.randint(0, max_exp) for _ in range(n))
-        if sum(m) <= trunc:
-            terms[m] = rand_fraction(rng, max_abs=40, max_den=9)
-    return Series(n, trunc, terms)
-
-
-class TestPackedPower:
-    """The Kronecker-substitution power against the degree recurrence."""
-
-    def test_kernel_matches_recurrence(self, monkeypatch):
-        rng = random.Random(31)
-        checked = set()
-        for _ in range(300):
-            n, k = rng.randint(1, 4), rng.randint(2, 9)
-            s = rand_unit_series(rng, n, rng.randint(1, 9), max_exp=3 if n < 3 else 1)
-            full = k * s.degree()
-            sizes = [k * max(m[i] for m in s.terms) + 1 for i in range(n)]
-            D = math.lcm(*(c.terms[()].denominator for c in s.terms.values()))
-            want = recurrence_pow(s, k, monkeypatch)
-            got = series._pow_packed(s, k, D, sizes)
-            assert got == want
-            assert _poly_hash(got) == _poly_hash(want)
-            checked.add((n, s.trunc < full))
-        assert checked == {(n, below) for n in range(1, 5) for below in (False, True)}
-
-    def test_pow_trunc_picks_a_path_with_equal_results(self, monkeypatch):
-        rng = random.Random(32)
-        packed = []
-        real = series._pow_packed
-        monkeypatch.setattr(series, "_pow_packed", lambda *a: packed.append(a) or real(*a))
-        for _ in range(200):
-            n, k = rng.randint(1, 4), rng.randint(2, 9)
-            s = rand_unit_series(rng, n, rng.randint(1, 9))
-            got = s.pow_trunc(k)
-            want = recurrence_pow(s, k, monkeypatch)
-            assert got == want
-            assert _poly_hash(got) == _poly_hash(want)
-        assert {a[0].n for a in packed} == {1, 2, 3, 4}
-        assert 0 < len(packed) < 200
-
-    def test_n2_packs_and_dense_n7_keeps_the_recurrence(self, monkeypatch):
-        calls = []
-
-        def spy(f, k, D, sizes):
-            calls.append((f.n, k))
-            if f.n > 2:
-                raise AssertionError("a dense n = 7 power went to the packed path")
-            return real(f, k, D, sizes)
-
-        real = series._pow_packed
-        monkeypatch.setattr(series, "_pow_packed", spy)
-        s = Series(2, 18, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): Fraction(1, 2)})
-        assert s.pow_trunc(9) == recurrence_pow(s, 9, monkeypatch)
-        assert calls == [(2, 9)]
-
-        P7 = Series(7, 16, {(0,) * 7: 1, **{tuple(int(i == j) for j in range(7)): 1 for i in range(7)}})
-        assert series._pack_sizes(P7, 16) is None  # 17^7 slots
-        F = P7.truncate(3).pow_trunc(16)
-        assert calls == [(2, 9)]
-        assert F.coeff((3, 0, 0, 0, 0, 0, 0)) == CoefPoly.const(560)
-        assert F.coeff((1, 1, 1, 0, 0, 0, 0)) == CoefPoly.const(16 * 15 * 14)
-
-    def test_symbolic_series_keep_the_recurrence(self, monkeypatch):
-        monkeypatch.setattr(series, "_pow_packed", None)  # calling it would raise
-        s = Series(2, 4, {(0, 0): 1, (1, 0): CoefPoly.var("a"), (0, 1): 1})
-        assert s.pow_trunc(3).coeff((2, 0)) == CoefPoly.var("a") ** 2 * CoefPoly.const(3)

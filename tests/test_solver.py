@@ -28,6 +28,7 @@ from rotke.algebra import (
     monomials_up_to,
     support_unknown,
 )
+from rotke.geometry import Certificate
 from rotke.oracle import mi_permute
 from rotke.solver import _eq_sort_key
 
@@ -250,6 +251,15 @@ class TestSweep:
         assert sol.lam == 6
         assert sol.tag == "CPn_unit"
         assert sol.certificate == "PASS"
+
+    def test_failed_certificate_leaves_solution_unresolved(self, monkeypatch):
+        def fail(cand):
+            return Certificate("FAIL", cand.lam, "det(B)^1 = P^1", "", "", (1, 0))
+
+        monkeypatch.setattr(solver, "certify_exact", fail)
+        entry = solver._solve_one_spec((2, 1, ((1, 1),), 4))  # Segre, lambda = 4
+        assert (entry.status, entry.solutions) == ("UNRESOLVED", ())
+        assert entry.note.startswith("certificate failed for ")
 
     def test_n2_quadratic_matches_known_models(self):
         report = sweep([2], 3, deg_cap=2)
