@@ -44,6 +44,12 @@ MAX_DEGREE = 32
 # (6,435 terms).  Every n <= 2 degree up to MAX_DEGREE is below the cap.
 MAX_TERMS = 2000
 
+# Largest numerator and denominator of lambda that verify accepts.  The
+# certificate's degree does not depend on lambda, but the bit length of its
+# integers grows linearly with both: on Segre with coefficient 1/2, lambda =
+# 10^6 takes 17 ms and lambda = 10^7 took 0.21 s and 41 MB.
+MAX_LAMBDA_PART = 10 ** 6
+
 
 class _Usage(Exception):
     pass
@@ -160,6 +166,8 @@ def cmd_verify(args) -> int:
         raise _Usage("verify needs an Einstein constant: pass --lambda p/q or put it in the spec file")
     if lam <= 0:
         raise _Usage(f"the Einstein constant must be positive, got {lam}")
+    if max(lam.numerator, lam.denominator) > MAX_LAMBDA_PART:
+        raise _Usage(f"the Einstein constant {lam} has a numerator or denominator above {MAX_LAMBDA_PART}")
     if not spec.is_numeric():
         raise _Usage("verify needs numeric coefficients; use the constraints command for symbolic specs")
     if args.degree is not None:

@@ -233,16 +233,26 @@ def _minor_determinant(A: Sequence[Sequence[Series]]) -> Series:
     return Series(nvars, trunc, {mono: c for part in full for mono, c in part})
 
 
-def det_numerator(P: Series) -> Series:
+def det_numerator(P: Series, trunc: Optional[int] = None) -> Series:
     """det(B) for the bordered matrix B = [[P, P_{zbar_b}], [P_{z_a}, P_{z_a zbar_b}]],
-    so that det(g) = det(B) / P^(n+1); an exact polynomial in x whenever
+    so that det(g) = det(B) / P^(n+1), through degree `trunc` (default
+    P.trunc); an exact polynomial in x whenever
     P.trunc >= n*(deg_x(P) - 1) + deg_x(P) (`PotentialSpec.det_b_degree`).
 
     In x-space row 0 is (P, Q_1, ..., Q_n) and row a is x_a d/dx_a of row 0
     plus Q_a on the diagonal, so every off-diagonal entry of row a carries x_a.
+
+    `trunc` may lie below P.trunc, even below deg_x(P) (`extract_constraints`
+    goes down to deg_x(P) - 1), but never above it.  Row 0 is formed from P
+    and only then truncated: x_a d/dx_a multiplies the coefficient of x^m by
+    m_a and keeps its degree, so truncating row 0 truncates every row, and
+    the result is det(B) through degree `trunc`.  Truncating P first would
+    not be exact: Q_a takes its degree d - 1 part from the degree-d part of P.
     """
     n = P.n
     row0 = [P] + [series_diff(P, a) for a in range(1, n + 1)]
+    if trunc is not None and trunc != P.trunc:
+        row0 = [entry.truncate(trunc) for entry in row0]
     rows = [row0]
     for a in range(1, n + 1):
         xa = tuple(1 if i == a - 1 else 0 for i in range(n))
@@ -257,17 +267,25 @@ def det_numerator(P: Series) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def ma_log_residual_numerator(P: Series, lam: Union[CoefPoly, Fraction, int]) -> Tuple[int, Series]:
-    """(q, q R) for the residual R of `ma_log_residual`, q = 2 lcm(1..trunc).
+def ma_log_residual_numerator(
+    P: Series, lam: Union[CoefPoly, Fraction, int], trunc: Optional[int] = None
+) -> Tuple[int, Series]:
+    """(q, q R) for the residual R of `ma_log_residual` through degree
+    `trunc` (default P.trunc), q = 2 lcm(1..trunc).
 
     With N = lcm(1..trunc), q R = 2 (N log det(B)) + (lam - 2n - 2) (N log P),
     both N log terms taken straight from `log1p_numerator`.  For a symbolic
     spec and a symbolic or integral lam every coefficient is an integer
-    polynomial, so no rational arithmetic is needed.
+    polynomial, so no rational arithmetic is needed.  A `trunc` below
+    P.trunc is exact (see `det_numerator`): the degree <= trunc part of a
+    log depends only on that of its argument.
     """
+    trunc = P.trunc if trunc is None else trunc
     lam_poly = lam if isinstance(lam, CoefPoly) else CoefPoly.const(lam)
-    one = Series.one(P.n, P.trunc)
-    N, log_detB = log1p_numerator(det_numerator(P) - one)
+    one = Series.one(P.n, trunc)
+    N, log_detB = log1p_numerator(det_numerator(P, trunc) - one)
+    if trunc != P.trunc:
+        P = P.truncate(trunc)
     _, log_P = log1p_numerator(P - one)
     factor = lam_poly + CoefPoly.const(-2 * (P.n + 1))
     return 2 * N, log_detB.scale(2) + log_P.scale(factor)

@@ -82,11 +82,20 @@ def extract_constraints(spec: PotentialSpec, trunc: int) -> ConstraintSystem:
     `ma_log_residual_numerator` (q = 2 lcm(1..trunc)), not off R itself:
     `normalized` divides out the content and fixes the sign of the leading
     term, so a positive factor q leaves every equation unchanged.
+
+    Any trunc >= max(d - 1, 1), d = deg_x P, is allowed.  A support monomial
+    of degree d first enters R at degree d - 1, linearly (through Q_a =
+    dP/dx_a), so below that some unknowns would be missing.  P is built
+    exactly and B's rows are truncated only after differentiating (see
+    `det_numerator`), so the equations at trunc t are exactly those of
+    degree <= t at any larger truncation: an INFEASIBLE verdict at t holds
+    for every larger one.
     """
-    if trunc < spec.max_degree() + 1:
-        raise ValueError(f"truncation {trunc} must exceed the support degree {spec.max_degree()}")
-    P = build_potential(spec, trunc)
-    _, qR = ma_log_residual_numerator(P, CoefPoly.var(EINSTEIN_NAME))
+    d = spec.max_degree()
+    if trunc < max(d - 1, 1):
+        raise ValueError(f"truncation {trunc} is below {max(d - 1, 1)}, where the degree-{d} support first enters")
+    P = build_potential(spec, max(trunc, d))
+    _, qR = ma_log_residual_numerator(P, CoefPoly.var(EINSTEIN_NAME), trunc)
     equations = []
     monos = []
     for m, coef in qR.sorted_terms():
@@ -216,6 +225,15 @@ def _uni_to_poly(name: str, coeffs: Sequence[Fraction]) -> CoefPoly:
 
 def _eq_sort_key(eq: CoefPoly):
     return (len(eq.terms), eq.total_degree(), fraction_terms_repr(eq))
+
+
+def _linear_parts(eq: CoefPoly, name: str) -> Optional[Dict[int, CoefPoly]]:
+    """eq.by_power(name) when name occurs to degree 1 with a constant coefficient."""
+    if eq.degree_in(name) != 1:
+        return None
+    parts = eq.by_power(name)
+    lin = parts.get(1)
+    return parts if lin is not None and lin.is_constant() else None
 
 
 class _Search:
@@ -357,22 +375,29 @@ class _Search:
 
     def _linear_step(self, eqs: List[CoefPoly]):
         """Find (unknown, expression, other equations) for an exact linear
-        elimination: the unknown occurs to degree 1 with a constant coefficient."""
-        best = None
+        elimination: the unknown occurs to degree 1 with a constant coefficient.
+
+        The Einstein constant goes first, from the first equation that allows
+        it; otherwise the least eligible name of the first equation with one.
+        `_clean` sorts the equations by term count, so these are the fewest
+        terms."""
+        choice = None
         for idx, eq in enumerate(eqs):
-            for name in sorted(eq.unknowns()):
-                if eq.degree_in(name) != 1:
-                    continue
-                parts = eq.by_power(name)
-                lin = parts.get(1)
-                if lin is None or not lin.is_constant():
-                    continue
-                score = (0 if name == EINSTEIN_NAME else 1, len(eq.terms), idx, name)
-                if best is None or score < best[0]:
-                    best = (score, idx, name, parts)
-        if best is None:
+            names = eq.unknowns()
+            if EINSTEIN_NAME in names:
+                parts = _linear_parts(eq, EINSTEIN_NAME)
+                if parts is not None:
+                    choice = (idx, EINSTEIN_NAME, parts)
+                    break
+            if choice is None:
+                for name in sorted(names - {EINSTEIN_NAME}):
+                    parts = _linear_parts(eq, name)
+                    if parts is not None:
+                        choice = (idx, name, parts)
+                        break
+        if choice is None:
             return None
-        _, idx, name, parts = best
+        idx, name, parts = choice
         c = parts[1].constant_value()
         expr = parts.get(0, CoefPoly()).scale(Fraction(-1) / c)
         rest = eqs[:idx] + eqs[idx + 1:]
@@ -626,15 +651,25 @@ class ClassificationReport:
 
 
 def _solve_one_spec(args) -> SweepEntry:
+    """Decide one support at truncation trunc, after cheap prescreens.
+
+    A prescreen solves the system at t = d - 1, then at t = d + 1 (d = deg_x
+    P), each only when 2 <= t < trunc, and stops at the first INFEASIBLE.
+    The lowest allowed truncation d - 1 is where every unknown first appears
+    (`extract_constraints`).  Quadratic and empty supports skip it: t = 1
+    holds only the linear block, and on the quadratic supports at n = 3..5
+    it left 11 of 39 entries undecided or with another witness than t = 3.
+    """
     n, k, support, trunc = args
     spec = PotentialSpec.symbolic(n, support)
-    # cheap prescreen at the lowest admissible truncation: its equations are a
-    # subset of the full system, so INFEASIBLE transfers
-    pre_trunc = spec.max_degree() + 1
-    if pre_trunc < trunc:
-        pre = solve_system(extract_constraints(spec, pre_trunc))
-        if pre.status == "INFEASIBLE":
-            return SweepEntry(n, k, support, "INFEASIBLE", (), repr(pre.witness), "prescreen")
+    # the equations at t are the degree <= t subset of the full system, so
+    # INFEASIBLE transfers
+    d = spec.max_degree()
+    for pre_trunc in (d - 1, d + 1):
+        if 2 <= pre_trunc < trunc:
+            pre = solve_system(extract_constraints(spec, pre_trunc))
+            if pre.status == "INFEASIBLE":
+                return SweepEntry(n, k, support, "INFEASIBLE", (), repr(pre.witness), "prescreen")
     system = extract_constraints(spec, trunc)
     outcome = solve_system(system)
     if outcome.status == "INFEASIBLE":

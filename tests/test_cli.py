@@ -191,6 +191,20 @@ class TestVerify:
         assert main(["verify", "--spec", spec] + mode) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam,code", [("1000000", 1), ("1/1000000", 1), ("10000000", 2), ("1/10000000", 2)])
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_lambda_size_is_capped(self, lam, code, in_file, tmp_path, capsys):
+        # a certificate's integers grow with lambda's numerator and denominator
+        assert rotke.cli.MAX_LAMBDA_PART == 10 ** 6
+        half = {"n": 2, "monomials": [{"exponents": [1, 1], "coef": "1/2"}]}
+        if in_file:
+            spec, argv = write(tmp_path, "s.json", dict(half, **{"lambda": lam})), []
+        else:
+            spec, argv = write(tmp_path, "s.json", half), ["--lambda", lam]
+        assert main(["verify", "--spec", spec] + argv) == code
+        if code == 2:
+            assert "above 1000000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lam,status,identity", [
         ("3", "PASS", "det(B)^2 = P^3"),  # e = (n+1)q' - p' = 3
         ("8", "FAIL", "det(B)^1 * P^1 = 1"),  # e = -1

@@ -84,9 +84,11 @@ class TestLinearBlock:
                 assert system[pm].proportional_to(eq.substitute(rename)), (perm, m)
 
     def test_truncation_too_low_rejected(self):
-        spec = PotentialSpec.symbolic(2, [(2, 0)])
+        # the cubic monomial first enters the residual at degree 2
+        spec = PotentialSpec.symbolic(2, [(2, 0), (2, 1)])
         with pytest.raises(ValueError):
-            extract_constraints(spec, 2)
+            extract_constraints(spec, 1)
+        assert extract_constraints(spec, 2).equations
 
 
 class TestCubicRelations:
@@ -333,3 +335,32 @@ def test_equations_are_normalized_residual_coefficients():
             want = [(m, c.normalized()) for m, c in R.sorted_terms()]
             system = extract_constraints(spec, trunc)
             assert list(zip(system.residual_monomials, system.equations)) == want, spec
+
+
+def test_low_truncation_equations_are_a_degree_prefix():
+    # at every allowed t the equations are exactly the degree <= t ones of a
+    # larger truncation, monomial by monomial
+    rng = random.Random(41)
+    for n in (1, 2, 3):
+        monos = [m for d in (2, 3, 4) for m in monomials_of_degree(n, d)]
+        for _ in range(5):
+            spec = PotentialSpec.symbolic(n, rng.sample(monos, rng.randint(1, min(3, len(monos)))))
+            d = spec.max_degree()
+            full = extract_constraints(spec, d + 2)
+            for t in range(max(d - 1, 1), d + 2):
+                want = [(m, eq) for m, eq in zip(full.residual_monomials, full.equations) if sum(m) <= t]
+                system = extract_constraints(spec, t)
+                assert list(zip(system.residual_monomials, system.equations)) == want, (spec, t)
+                assert system.unknowns == full.unknowns
+
+
+def test_prescreen_tiers_match_the_single_prescreen():
+    # the sweep may decide a support at deg P - 1; its witness must be the one
+    # the system at deg P + 1 gives
+    report = sweep(range(2, 5), 3, deg_cap=3)
+    infeasible = [e for e in report.entries if e.status == "INFEASIBLE"]
+    assert len(infeasible) > 100
+    for e in infeasible:
+        spec = PotentialSpec.symbolic(e.n, e.support)
+        ref = solve_system(extract_constraints(spec, spec.max_degree() + 1))
+        assert (ref.status, repr(ref.witness), "prescreen") == ("INFEASIBLE", e.witness, e.note), e
