@@ -9,7 +9,6 @@ generation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm

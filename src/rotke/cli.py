@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .oracle import ORACLE_MAX_DIMENSION, rotation_project, zspace_det_numerator
 from .reports import SpecFileError, load_json
-from .solver import EngineError, extract_constraints, sweep
+from .solver import EngineError, extract_constraints, min_truncation, sweep
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -189,8 +189,8 @@ def cmd_constraints(args) -> int:
     if spec.is_numeric():
         raise _Usage("constraints needs at least one symbolic coefficient; use verify for numeric specs")
     trunc = args.degree if args.degree is not None else spec.max_degree() + 2
-    if trunc < spec.max_degree() + 1:
-        raise _Usage(f"--degree must be >= {spec.max_degree() + 1} for this spec")
+    if trunc < min_truncation(spec):
+        raise _Usage(f"--degree must be >= {min_truncation(spec)} for this spec")
     _check_terms(spec.n, trunc)
     system = extract_constraints(spec, trunc)
     payload = reports.constraints_payload(system, trunc)

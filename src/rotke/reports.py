@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .algebra import Unknown, format_rational, parse_rational
-from .geometry import Certificate, InductionReport, PotentialSpec
+from .geometry import Certificate, InductionReport, PotentialSpec, build_potential
 from .series import Series, series_log1p
 from .solver import ClassificationReport, ConstraintSystem
 
@@ -156,8 +156,6 @@ def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
         arg = Series(n, trunc, parse_terms(data["log_monomials"], f"{where}.log_monomials"))
         return series_log1p(arg).scale(scale)
     if "monomials" in data:
-        from .geometry import build_potential
-
         spec, _ = parse_spec(data, where)
         P = build_potential(spec, trunc)
         return series_log1p(P - Series.one(n, trunc))

@@ -283,13 +283,13 @@ def _homogeneous_parts(terms: Mapping[MultiIndex, CoefPoly], cap: int) -> Parts:
     return parts
 
 
-def _add_graded_product(acc: Dict[MultiIndex, dict], left: Parts, right: Parts, cap: int, sign: int = 1) -> None:
-    """acc += sign * left * right over the pairs of total degree <= cap, for
-    `_homogeneous_parts` lists; the sign is folded into the left coefficients."""
+def _add_graded_product(acc: Dict[MultiIndex, dict], left: Parts, right: Parts, cap: int, factor: int = 1) -> None:
+    """acc += factor * left * right over the pairs of total degree <= cap, for
+    `_homogeneous_parts` lists; the factor is folded into the left coefficients."""
     for d1 in range(min(cap, len(left) - 1) + 1):
         rights = right[: cap - d1 + 1]
         for m1, c1 in left[d1]:
-            t1 = c1.terms.items() if sign > 0 else [(u, -a) for u, a in c1.terms.items()]
+            t1 = c1.terms.items() if factor == 1 else [(u, factor * a) for u, a in c1.terms.items()]
             for part in rights:
                 for m2, c2 in part:
                     _add_product(acc, tuple(map(add, m1, m2)), t1, c2.terms)
@@ -322,22 +322,13 @@ def _degree_recurrence(
         acc: Dict[MultiIndex, dict] = {}
         for j in range(1, d + 1):
             w = weight(j, d)
-            if not w or not g_parts[d - j]:
-                continue
-            for m1, c1 in f_parts[j]:
-                t1 = [(u, w * a) for u, a in c1.terms.items()]
-                for m2, c2 in g_parts[d - j]:
-                    _add_product(acc, tuple(map(add, m1, m2)), t1, c2.terms)
-        part = _collect(acc, divisor(d))
-        del acc
+            if w and g_parts[d - j]:
+                _add_graded_product(acc, [f_parts[j]], [g_parts[d - j]], 0, w)
+        q = divisor(d)
         if plus_parts is not None:
             for m, c in plus_parts[d]:
-                s = part.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    part.pop(m, None)
-                else:
-                    part[m] = s
+                _add_product(acc, m, c.terms.items(), {(): q})
+        part = _collect(acc, q)
         out.update(part)
         g_parts.append(list(part.items()))
     return _raw(n, trunc, out)

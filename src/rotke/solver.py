@@ -74,6 +74,11 @@ class SolveOutcome:
         return [dict(sol) for sol in self.solutions]
 
 
+def min_truncation(spec: PotentialSpec) -> int:
+    """The least trunc `extract_constraints` accepts: max(deg_x P - 1, 1)."""
+    return max(spec.max_degree() - 1, 1)
+
+
 def extract_constraints(spec: PotentialSpec, trunc: int) -> ConstraintSystem:
     """One equation per x-monomial coefficient of the log residual R with a
     symbolic Einstein constant; ordered by (degree, graded-lex monomial).
@@ -92,8 +97,8 @@ def extract_constraints(spec: PotentialSpec, trunc: int) -> ConstraintSystem:
     for every larger one.
     """
     d = spec.max_degree()
-    if trunc < max(d - 1, 1):
-        raise ValueError(f"truncation {trunc} is below {max(d - 1, 1)}, where the degree-{d} support first enters")
+    if trunc < min_truncation(spec):
+        raise ValueError(f"truncation {trunc} is below {min_truncation(spec)}, where the degree-{d} support first enters")
     P = build_potential(spec, max(trunc, d))
     _, qR = ma_log_residual_numerator(P, CoefPoly.var(EINSTEIN_NAME), trunc)
     equations = []
@@ -532,27 +537,22 @@ def tag_cpn_scaled(q: int) -> str:
     return f"CPn_scaled({q})"
 
 
-def _set_partitions(items: List[int]) -> Iterable[List[List[int]]]:
-    """All partitions of items into nonempty blocks (canonical order)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in _set_partitions(rest):
-        for i in range(len(partition)):
-            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
-        yield [[first]] + partition
-
-
 def classify(spec: PotentialSpec, lam: Fraction) -> str:
     """Match a certified candidate (lam > 0) against the model potentials.
 
     Returns one of CPn_unit, CPn_scaled(q), ProductOfLines, UNKNOWN.  The
-    models are the products over the blocks of a partition of the variables
-    of (1 + (sum of the block's x)/q_b)^q_b with q_b = 2(|block| + 1)/lam: one
-    block is CPn_scaled(q), two or more are ProductOfLines.  The match is
-    cross-checked against the rational shape of the Einstein constant, and a
-    disagreement is an engine bug, not a value.
+    models are the products over the blocks b of a partition of the variables
+    of (1 + s_b/q_b)^q_b, s_b the sum of the block's x, q_b = 2(|b| + 1)/lam:
+    one block is CPn_scaled(q), two or more are ProductOfLines.  The
+    partition is read off P: the coefficient of x_i x_j in such a model is
+    (q_b - 1)/q_b < 1 when i and j share block b and exactly 1 otherwise.
+    When those pairs do not partition the variables, or some q_b is not an
+    integer, no model can match.  Nor can it when sum q_b != deg P, since the
+    model's coefficients are positive and its degree is sum q_b.  Otherwise
+    the one model is compared with P through degree deg P = max(deg P,
+    sum q_b), where both are whole polynomials.  The match is cross-checked
+    against the rational shape of the Einstein constant, and a disagreement
+    is an engine bug, not a value.
     """
     lam = Fraction(lam)
     if lam <= 0:
@@ -564,22 +564,26 @@ def classify(spec: PotentialSpec, lam: Fraction) -> str:
     if not spec.support:
         tag = TAG_CPN_UNIT
     else:
+        coef = dict(spec.support)
+        cells = [
+            tuple(j for j in range(n) if j == i or coef.get(tuple(int(k in (i, j)) for k in range(n)), 0) != 1)
+            for i in range(n)
+        ]
+        blocks = sorted(set(cells))
+        qs = [Fraction(2 * (len(block) + 1), lam) for block in blocks]
         d = spec.max_degree()
-        trunc = max(n * d, d)
-        P = build_potential(spec, trunc)
-        one = Series.one(n, trunc)
-        for blocks in _set_partitions(list(range(n))):
+        if (
+            all(cells[j] == cell for cell in cells for j in cell)
+            and all(q.denominator == 1 for q in qs)
+            and sum(qs) == d
+        ):
+            one = Series.one(n, d)
             model = one
-            for block in blocks:
-                qb = Fraction(2 * (len(block) + 1), lam)
-                if qb.denominator != 1:
-                    break
-                base = one + Series(n, trunc, {tuple(1 if j == i else 0 for j in range(n)): 1 / qb for i in block})
-                model = model * base.pow_trunc(int(qb))
-            else:
-                if P == model:
-                    tag = tag_cpn_scaled(int(qb)) if len(blocks) == 1 else TAG_PRODUCT
-                    break
+            for block, q in zip(blocks, qs):
+                base = one + Series(n, d, {tuple(int(j == i) for j in range(n)): 1 / q for i in block})
+                model = model * base.pow_trunc(int(q))
+            if build_potential(spec, d) == model:
+                tag = tag_cpn_scaled(int(qs[0])) if len(blocks) == 1 else TAG_PRODUCT
 
     # Hulin shape shortcut as an independent cross-check
     if p_hulin == n + 1:
@@ -704,10 +708,10 @@ def sweep(
 ) -> ClassificationReport:
     """Enumerate, extract, solve, certify, and classify over a dimension range.
 
-    Completeness is only claimed up to deg_cap (default k_max); for n > 2k
-    the enumeration for codimension k is skipped and the totally geodesic
-    entry recorded directly.  Output is deterministic and independent of the
-    worker count.
+    Completeness is only claimed up to deg_cap (default max(k_max, 2)); for
+    n > 2k the enumeration for codimension k is skipped and the totally
+    geodesic entry recorded directly.  Output is deterministic and
+    independent of the worker count.
     """
     dims = sorted(set(dims))
     if not dims or dims[0] < 1 or dims[-1] > MAX_DIMENSION:

@@ -1,10 +1,12 @@
-"""Acceptance gate: the eight headline checks, each printed PASS on success.
+"""Acceptance gate: the eight headline checks, each printed PASS on success,
+and the pinned bytes of the sweep report.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The classification sweep
-over dimensions 2..6 dominates the runtime (a few minutes); it is computed
-once and shared.
+over dimensions 2..6 dominates the runtime (about 3 s on a 2-core machine);
+it is computed once and shared.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -33,6 +35,7 @@ from rotke.algebra import (
 )
 from rotke.cli import main
 from rotke.oracle import rotation_project, zspace_det_numerator
+from rotke.reports import render_json, sweep_payload
 from rotke.solver import enumerate_supports
 
 from conftest import cpn_unit, rand_series, rand_spec
@@ -232,3 +235,10 @@ def test_criterion_8_deterministic_parallel_reports(tmp_path):
         files.append(out.read_bytes())
     assert files[0] == files[1]
     done("8 sweep reports byte-identical across 1 and 8 workers")
+
+
+def test_acceptance_report_bytes_are_pinned(full_sweep):
+    # the same under every hash seed, and through every refactor that does
+    # not mean to change the report
+    digest = hashlib.sha256(render_json(sweep_payload(full_sweep)).encode()).hexdigest()
+    assert digest == "24d9974db281133c67fea481efe37d5cd04382da2a37dded06664c7ee4bb2b44"

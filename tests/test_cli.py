@@ -236,6 +236,19 @@ class TestConstraints:
         spec = write(tmp_path, "v.json", VERONESE)
         assert main(["constraints", "--spec", spec]) == 2
 
+    def test_degree_floor_is_the_library_floor(self, tmp_path, capsys):
+        # deg P = 3: extract_constraints is exact from degree 2 up
+        cubic = {"n": 2, "monomials": SYMBOLIC["monomials"] + [{"exponents": [0, 3], "coef": {"sym": "c"}}]}
+        spec = write(tmp_path, "cubic.json", cubic)
+        assert main(["constraints", "--spec", spec, "--format", "json"]) == 0
+        full = json.loads(capsys.readouterr().out)["equations"]
+        assert main(["constraints", "--spec", spec, "--format", "json", "--degree", "2"]) == 0
+        low = json.loads(capsys.readouterr().out)["equations"]
+        assert 0 < len(low) < len(full)
+        assert low == [e for e in full if sum(e["residual_monomial"]) <= 2]
+        assert main(["constraints", "--spec", spec, "--degree", "1"]) == 2
+        assert "--degree must be >= 2" in capsys.readouterr().err
+
 
 class TestInducedAndNormalize:
     def test_induced_fractional_power(self, tmp_path, capsys):

@@ -1,15 +1,18 @@
 """Property tests of the spec file format: emit_spec then parse_spec is the
-identity, and a malformed spec dict raises SpecFileError and nothing else."""
+identity, and a malformed spec dict raises SpecFileError and nothing else.
+The bytes of three sweep reports are pinned."""
 
+import hashlib
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rotke import PotentialSpec
+from rotke import PotentialSpec, sweep
 from rotke.algebra import Unknown
 from rotke.geometry import MAX_DIMENSION
-from rotke.reports import SpecFileError, emit_spec, parse_spec
+from rotke.reports import SpecFileError, emit_spec, parse_spec, render_json, sweep_payload
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -101,3 +104,19 @@ class TestMalformed:
         except SpecFileError:
             return
         assert isinstance(spec, PotentialSpec)
+
+
+@pytest.mark.parametrize(
+    "dims, k_max, deg_cap, digest",
+    [
+        (range(2, 8), 3, 2, "f71989f517c9d8bf6b36d663b755f4c6befd942d912edbb45360d59ac47fa7ba"),
+        (range(2, 5), 3, 3, "8b267a7598212b1ddf2b7b227a4b5498657dfaea816d34535fa7ccff73516cbd"),
+        (range(1, 3), 2, 2, "12544b3f524caf7c4d542a038d33caa43f1f808507cd2f5b45c6a3e015002aee"),
+    ],
+    ids=["dims2-7-deg2", "dims2-4-deg3", "dims1-2-codim2"],
+)
+def test_sweep_report_bytes_are_pinned(dims, k_max, deg_cap, digest):
+    # the same under every hash seed, and through every refactor that does
+    # not mean to change the report
+    report = sweep(dims, k_max, deg_cap=deg_cap)
+    assert hashlib.sha256(render_json(sweep_payload(report)).encode()).hexdigest() == digest

@@ -10,6 +10,7 @@ import pytest
 
 from rotke import (
     PotentialSpec,
+    Series,
     build_potential,
     canonical_support,
     classify,
@@ -44,6 +45,52 @@ def eqs_by_monomial(system):
 
 
 LAM = CoefPoly.var(EINSTEIN_NAME)
+
+
+def set_partitions(items):
+    """All partitions of items into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+        yield [[first]] + partition
+
+
+def block_model(n, blocks, lam, trunc):
+    """The product over the blocks b of (1 + (sum of b's x)/q_b)^q_b, or None
+    when some q_b = 2(|b| + 1)/lam is not an integer."""
+    one = Series.one(n, trunc)
+    model = one
+    for block in blocks:
+        q = Fraction(2 * (len(block) + 1), lam)
+        if q.denominator != 1:
+            return None
+        base = one + Series(n, trunc, {tuple(int(j == i) for j in range(n)): 1 / q for i in block})
+        model = model * base.pow_trunc(int(q))
+    return model
+
+
+def model_spec(n, blocks, lam):
+    degree = sum(int(Fraction(2 * (len(b) + 1), lam)) for b in blocks)
+    model = block_model(n, blocks, lam, max(degree, 1))
+    return PotentialSpec(n, tuple((m, c.constant_value()) for m, c in model.terms.items() if sum(m) >= 2))
+
+
+def reference_tag(spec, lam):
+    """The partition search classify used to run: every partition of the
+    variables, compared with P through degree max(n deg P, deg P)."""
+    if not spec.support:
+        return "CPn_unit"
+    d = spec.max_degree()
+    trunc = max(spec.n * d, d)
+    P = build_potential(spec, trunc)
+    for blocks in set_partitions(list(range(spec.n))):
+        if block_model(spec.n, blocks, lam, trunc) == P:
+            return f"CPn_scaled({int(Fraction(2 * (spec.n + 1), lam))})" if len(blocks) == 1 else "ProductOfLines"
+    return "UNKNOWN"
 
 
 class TestLinearBlock:
@@ -243,6 +290,57 @@ class TestClassification:
     def test_nonpositive_constant_rejected(self, segre, lam):
         with pytest.raises(ValueError, match="must be positive"):
             classify(segre, lam)
+
+    def test_partition_read_off_p_matches_the_partition_search(self):
+        # every model with q_b <= 4 for n <= 4, and twins that differ from it
+        # in one coefficient
+        rng = random.Random(17)
+        models = twins = 0
+        for n in range(1, 5):
+            for blocks in set_partitions(list(range(n))):
+                for lam in sorted({Fraction(2 * (len(blocks[0]) + 1), q) for q in range(1, 5)}):
+                    qs = [Fraction(2 * (len(b) + 1), lam) for b in blocks]
+                    if any(q.denominator != 1 or q > 4 for q in qs):
+                        continue
+                    spec = model_spec(n, blocks, lam)
+                    tag = classify(spec, lam)
+                    assert tag == reference_tag(spec, lam) != "UNKNOWN", (n, blocks, lam)
+                    models += 1
+                    for m, c in rng.sample(spec.support, min(3, len(spec.support))):
+                        twin = PotentialSpec(n, tuple((mm, cc + (mm == m)) for mm, cc in spec.support))
+                        try:
+                            assert classify(twin, lam) == "UNKNOWN", (n, blocks, lam, m)
+                        except solver.EngineError:
+                            pass  # the Hulin cross-check refuses UNKNOWN at p' = n + 1
+                        twins += 1
+        assert (models, twins) == (57, 154)
+
+    def test_truncated_model_is_not_a_match(self):
+        # 1 + x + x^2/3 agrees with (1 + x/3)^3 only through degree 2
+        spec = PotentialSpec(1, (((2,), Fraction(1, 3)),))
+        with pytest.raises(solver.EngineError, match="demands CPn_scaled"):
+            classify(spec, Fraction(4, 3))
+        assert classify(model_spec(1, [[0]], Fraction(4, 3)), Fraction(4, 3)) == "CPn_scaled(3)"
+
+    def test_builds_one_model(self, monkeypatch):
+        # (1 + x_1) ... (1 + x_7): one power per block, not one per partition
+        calls = []
+        real = Series.pow_trunc
+
+        def spy(self, k):
+            assert k <= 32, "built a model of higher degree than P"
+            calls.append(k)
+            return real(self, k)
+
+        monkeypatch.setattr(Series, "pow_trunc", spy)
+        spec = model_spec(7, [[i] for i in range(7)], Fraction(4))
+        calls.clear()
+        assert classify(spec, Fraction(4)) == "ProductOfLines"
+        assert 0 < len(calls) <= 7
+        # q_b = 10^6: the model's degree 7 * 10^6 is not deg P, so none is built
+        calls.clear()
+        assert classify(spec, Fraction(4, 10**6)) == "UNKNOWN"
+        assert calls == []
 
 
 class TestSweep:
