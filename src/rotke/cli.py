@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .oracle import ORACLE_MAX_DIMENSION, rotation_project, zspace_det_numerator
 from .reports import SpecFileError, load_json
-from .solver import EngineError, extract_constraints, min_truncation, sweep
+from .solver import EngineError, extract_constraints, min_truncation, sweep, sweep_min_truncation
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -209,10 +209,9 @@ def cmd_sweep(args) -> int:
         raise _Usage("--deg-cap must be >= 2")
     if args.degree is not None:
         deg_cap = args.deg_cap if args.deg_cap is not None else max(args.max_codim, 2)
-        # supports are enumerated only for n <= 2k, and then some reach deg_cap
-        top = deg_cap if a <= 2 * args.max_codim else 1
-        if args.degree < top + 1:
-            raise _Usage(f"--degree must be >= {top + 1} for these options")
+        floor = sweep_min_truncation(range(a, b + 1), args.max_codim, deg_cap)
+        if args.degree < floor:
+            raise _Usage(f"--degree must be >= {floor} for these options")
     if args.jobs < 1:
         raise _Usage("--jobs must be >= 1")
     report = sweep(

@@ -13,7 +13,11 @@ x-space matrix with row 0 = (P, Q_1, ..., Q_n) and row a = x_a d/dx_a of
 row 0 plus Q_a on the diagonal.  det(B), a polynomial of degree
 n(deg_x P - 1) + deg_x P, is computed by one expansion along rows with the
 minors memoised per column set: the certificate compares a power of it
-against a power of P through degree deg det(B) + deg P.  The independent
+against a power of P through degree deg det(B) + deg P.  A variable x_a
+that P holds only in its linear term c x_a drops out first: subtracting x_a
+times column a from column 0 leaves c e_a as row a and P - c x_a at (0, 0),
+so det(B) = c det(B') with row and column a removed (`det_numerator`), and
+the expansion runs on one row per variable P uses.  The independent
 references (the metric g_{ab} = delta_{ab} F_a + zbar_a z_b F_{ab} with its
 own Leibniz determinant, and a z-space brute force) live in `oracle`.
 """
@@ -42,6 +46,7 @@ from .series import (
     _add_graded_product,
     _collect,
     _homogeneous_parts,
+    _raw,
     log1p_numerator,
     series_diff,
     series_exp,
@@ -242,6 +247,18 @@ def det_numerator(P: Series, trunc: Optional[int] = None) -> Series:
     In x-space row 0 is (P, Q_1, ..., Q_n) and row a is x_a d/dx_a of row 0
     plus Q_a on the diagonal, so every off-diagonal entry of row a carries x_a.
 
+    Free variables drop out.  Let Q_a be a constant c, that is, x_a occurs
+    in P only in its linear term.  Then d/dx_a kills every Q_b, so row a is
+    (c x_a, 0, ..., 0) plus c on the diagonal, and column a is c in row 0
+    and zero in the other rows b != a.  Subtracting x_a times column a from
+    column 0 makes row a equal to c e_a and changes only entry (0, 0), to
+    P - c x_a.  So det B = c det B', B' dropping row and column a.  This is
+    done for every such variable, and `_minor_determinant` runs on u + 1
+    rows, u the number of variables P uses (the 1 x 1 matrix [1] for CP^n
+    unit).  The kept rows keep their diagonal and their off-diagonal entries
+    of degree >= 1, so the truncation argument of `_minor_determinant`
+    still holds.
+
     `trunc` may lie below P.trunc, even below deg_x(P) (`extract_constraints`
     goes down to deg_x(P) - 1), but never above it.  Row 0 is formed from P
     and only then truncated: x_a d/dx_a multiplies the coefficient of x^m by
@@ -250,16 +267,28 @@ def det_numerator(P: Series, trunc: Optional[int] = None) -> Series:
     not be exact: Q_a takes its degree d - 1 part from the degree-d part of P.
     """
     n = P.n
-    row0 = [P] + [series_diff(P, a) for a in range(1, n + 1)]
+    zero = (0,) * n
+    Q = {a: series_diff(P, a) for a in range(1, n + 1)}
+    free = {a: q.terms[zero] for a, q in Q.items() if q.terms.keys() == {zero}}
+    head = P
+    if free:
+        linear = {tuple(int(i == a - 1) for i in range(n)) for a in free}
+        head = _raw(n, P.trunc, {m: c for m, c in P.terms.items() if m not in linear})
+    kept = [a for a in Q if a not in free]
+    row0 = [head] + [Q[a] for a in kept]
     if trunc is not None and trunc != P.trunc:
         row0 = [entry.truncate(trunc) for entry in row0]
     rows = [row0]
-    for a in range(1, n + 1):
-        xa = tuple(1 if i == a - 1 else 0 for i in range(n))
+    for i, a in enumerate(kept, 1):
+        xa = tuple(int(j == a - 1) for j in range(n))
         row = [series_diff(entry, a).shift_monomial(xa) for entry in row0]
-        row[a] = row0[a] + row[a]
+        row[i] = row0[i] + row[i]
         rows.append(row)
-    return _minor_determinant(rows)
+    det = _minor_determinant(rows)
+    for c in free.values():
+        if c != 1:
+            det = det.scale(c)
+    return det
 
 
 # ---------------------------------------------------------------------------

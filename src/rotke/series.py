@@ -148,10 +148,12 @@ class Series:
         stays on int; the result is divided by D^k once at the end.  This is
         the only power path for a unit constant term: `certify_exact`
         compares through degree deg det B + deg P whatever k is, so its
-        powers stay short.
+        powers stay short.  self^1 is self.
         """
         if k < 0:
             raise ValueError("negative powers are not defined for Series")
+        if k == 1:
+            return self
         c0 = self.constant_term()
         if k > 1 and c0.is_constant() and not c0.is_zero():
             D = lcm(*(v.denominator for c in self.terms.values() for v in c.terms.values()))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -109,6 +109,77 @@ def extract_constraints(spec: PotentialSpec, trunc: int) -> ConstraintSystem:
     unknowns = tuple(spec.unknowns()) + (EINSTEIN,)
     positivity = frozenset(u.name for u in unknowns)
     return ConstraintSystem(unknowns, tuple(equations), positivity, tuple(monos))
+
+
+def _generic_residual(n: int, d: int) -> Tuple[Tuple[MultiIndex, ...], Dict[Tuple[str, ...], Dict[int, dict]]]:
+    """The t = d - 1 residual of the generic support of (n, d), grouped for
+    `GenericPrescreen`.
+
+    The generic support holds every monomial of degree 2..d; its residual is
+    built through `ma_log_residual_numerator` exactly as `extract_constraints`
+    builds a support's, but its coefficients are not normalized.  Returns the
+    residual monomials in grlex order and, per tuple of support unknowns (by
+    name, sorted, lambda left out), the terms that hold exactly those
+    unknowns, keyed by the index of their residual monomial.
+    """
+    spec = PotentialSpec.symbolic(n, [m for deg in range(2, d + 1) for m in monomials_of_degree(n, deg)])
+    _, qR = ma_log_residual_numerator(build_potential(spec, d), CoefPoly.var(EINSTEIN_NAME), d - 1)
+    monos = []
+    groups: Dict[Tuple[str, ...], Dict[int, dict]] = {}
+    for idx, (m, coef) in enumerate(qR.sorted_terms()):
+        monos.append(m)
+        for u, c in coef.terms.items():
+            key = tuple(nm for nm, _ in u if nm != EINSTEIN_NAME)
+            groups.setdefault(key, {}).setdefault(idx, {})[u] = c
+    return tuple(monos), groups
+
+
+class GenericPrescreen:
+    """`extract_constraints(spec, d - 1)` for nonempty supports, d = deg_x P,
+    read off one generic residual per (n, d).
+
+    Setting an absent unknown to zero deletes exactly the terms that hold
+    it, so a support's residual is the part of the generic residual whose
+    support unknowns all belong to the support.  Its equation at x^m merges
+    the groups of `_generic_residual` at m over the subsets of its unknowns;
+    the groups hold disjoint terms, so the merge is a union, and an equation
+    with no group vanishes and is dropped.  Normalizing then gives the same
+    `ConstraintSystem` as `extract_constraints`: the same equations in the
+    same order, with the same residual monomials.
+
+    The generic residuals of one dimension are kept at a time, since a
+    sweep hands out its tasks ordered by n: a new n drops them.
+    """
+
+    def __init__(self):
+        self.n: Optional[int] = None
+        self.generic: Dict[int, tuple] = {}
+
+    def system(self, spec: PotentialSpec) -> ConstraintSystem:
+        d = spec.max_degree()
+        if spec.n != self.n:
+            self.n, self.generic = spec.n, {}
+        cached = self.generic.get(d)
+        if cached is None:
+            monos, groups = _generic_residual(spec.n, d)
+            cached = self.generic[d] = (monos, groups, max(map(len, groups)))
+        monos, groups, widest = cached
+        support_unknowns = spec.unknowns()
+        unknowns = tuple(support_unknowns) + (EINSTEIN,)
+        names = sorted(u.name for u in support_unknowns)
+        merged: Dict[int, dict] = {}
+        for r in range(min(len(names), widest) + 1):
+            for key in combinations(names, r):
+                for idx, terms in groups.get(key, {}).items():
+                    merged.setdefault(idx, {}).update(terms)
+        order = sorted(merged)
+        equations = []
+        for idx in order:
+            eq = CoefPoly.__new__(CoefPoly)
+            eq.terms = merged[idx]
+            equations.append(eq.normalized())
+        positivity = frozenset(u.name for u in unknowns)
+        return ConstraintSystem(unknowns, tuple(equations), positivity, tuple(monos[idx] for idx in order))
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +725,7 @@ class ClassificationReport:
         )
 
 
-def _solve_one_spec(args) -> SweepEntry:
+def _solve_one_spec(args, prescreen: Optional[GenericPrescreen] = None) -> SweepEntry:
     """Decide one support at truncation trunc, after cheap prescreens.
 
     A prescreen solves the system at t = d - 1, then at t = d + 1 (d = deg_x
@@ -663,6 +734,12 @@ def _solve_one_spec(args) -> SweepEntry:
     (`extract_constraints`).  Quadratic and empty supports skip it: t = 1
     holds only the linear block, and on the quadratic supports at n = 3..5
     it left 11 of 39 entries undecided or with another witness than t = 3.
+
+    The t = d - 1 system is read off the generic residual of (n, d) kept by
+    `prescreen` (`GenericPrescreen`), which `sweep` creates once per call
+    and, with several jobs, once per worker; without one, a private one is
+    made for this support.  The t = d + 1 tier and the final truncation call
+    `extract_constraints`.
     """
     n, k, support, trunc = args
     spec = PotentialSpec.symbolic(n, support)
@@ -671,7 +748,12 @@ def _solve_one_spec(args) -> SweepEntry:
     d = spec.max_degree()
     for pre_trunc in (d - 1, d + 1):
         if 2 <= pre_trunc < trunc:
-            pre = solve_system(extract_constraints(spec, pre_trunc))
+            if pre_trunc == d - 1:
+                prescreen = prescreen or GenericPrescreen()
+                system = prescreen.system(spec)
+            else:
+                system = extract_constraints(spec, pre_trunc)
+            pre = solve_system(system)
             if pre.status == "INFEASIBLE":
                 return SweepEntry(n, k, support, "INFEASIBLE", (), repr(pre.witness), "prescreen")
     system = extract_constraints(spec, trunc)
@@ -699,6 +781,31 @@ def _solve_one_spec(args) -> SweepEntry:
     return SweepEntry(n, k, support, "SOLVED", tuple(solutions))
 
 
+def sweep_min_truncation(dims: Iterable[int], k_max: int, deg_cap: int) -> int:
+    """The least trunc `sweep` accepts: the largest `min_truncation` of the
+    supports it enumerates.
+
+    Supports are enumerated only in the dimensions n <= 2 k_max, and then
+    one of codimension max(1, ceil(n / 2)) <= k_max holds a monomial of
+    degree deg_cap, so the floor is deg_cap - 1; otherwise only the empty
+    support is solved, whose floor is 1.
+    """
+    return max(deg_cap - 1, 1) if k_max >= 1 and min(dims) <= 2 * k_max else 1
+
+
+_worker_prescreen: Optional[GenericPrescreen] = None
+
+
+def _start_worker() -> None:
+    """Give a sweep worker process its own `GenericPrescreen`."""
+    global _worker_prescreen
+    _worker_prescreen = GenericPrescreen()
+
+
+def _solve_in_worker(args) -> SweepEntry:
+    return _solve_one_spec(args, _worker_prescreen)
+
+
 def sweep(
     dims: Iterable[int],
     k_max: int,
@@ -710,8 +817,15 @@ def sweep(
 
     Completeness is only claimed up to deg_cap (default max(k_max, 2)); for
     n > 2k the enumeration for codimension k is skipped and the totally
-    geodesic entry recorded directly.  Output is deterministic and
+    geodesic entry recorded directly.  A trunc below `sweep_min_truncation`
+    raises ValueError before any work.  Output is deterministic and
     independent of the worker count.
+
+    The t = deg P - 1 prescreens read one generic residual per (n, deg P)
+    (`GenericPrescreen`).  Its cache lives for this call only: with one job
+    it is created here and dropped on return, so a second call builds it
+    again; with several jobs each worker process builds its own.  Tasks are
+    ordered by n, so it holds one dimension at a time.
     """
     dims = sorted(set(dims))
     if not dims or dims[0] < 1 or dims[-1] > MAX_DIMENSION:
@@ -720,6 +834,9 @@ def sweep(
         deg_cap = max(k_max, 2)
     if trunc is None:
         trunc = deg_cap + 2
+    floor = sweep_min_truncation(dims, k_max, deg_cap)
+    if trunc < floor:
+        raise ValueError(f"truncation {trunc} is below {floor}, the least at which every support of this sweep enters")
     tasks = []
     shortcut_entries = []
     for n in dims:
@@ -736,10 +853,11 @@ def sweep(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_solve_one_spec, tasks, chunksize=8))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pool:
+            entries = list(pool.map(_solve_in_worker, tasks, chunksize=8))
     else:
-        entries = [_solve_one_spec(t) for t in tasks]
+        prescreen = GenericPrescreen()
+        entries = [_solve_one_spec(t, prescreen) for t in tasks]
     entries.extend(shortcut_entries)
     entries.sort(key=SweepEntry.sort_key)
     return ClassificationReport((dims[0], dims[-1]), k_max, deg_cap, trunc, tuple(entries))

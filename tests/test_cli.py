@@ -327,11 +327,20 @@ class TestSweepCommand:
     @pytest.mark.parametrize("argv,message", [
         (["--dims", "2..9"], "--dims must lie in 1..8"),
         (["--dims", "2..2", "--deg-cap", "1"], "--deg-cap must be >= 2"),
-        (["--dims", "2..2", "--max-codim", "1", "--degree", "2"], "--degree must be >= 3"),
+        (["--dims", "2..2", "--max-codim", "1", "--deg-cap", "4", "--degree", "2"], "--degree must be >= 3"),
     ])
     def test_out_of_range_options_are_usage_errors(self, argv, message, capsys):
         assert main(["sweep", *argv]) == 2
         assert message in capsys.readouterr().err
+
+    def test_degree_floor_is_the_library_floor(self, tmp_path, capsys):
+        # cubic supports enter at degree 2, so 3 is allowed and 1 is not
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--dims", "2..2", "--max-codim", "1", "--deg-cap", "3", "--format", "json"]
+        assert main([*argv, "--degree", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["counts"] == {"INFEASIBLE": 3, "SHORTCUT": 0, "SOLVED": 2, "UNRESOLVED": 0}
+        assert main([*argv, "--degree", "1"]) == 2
+        assert "--degree must be >= 2" in capsys.readouterr().err
 
     def test_jobs_capped_at_cpu_count(self, monkeypatch, capsys):
         seen = []

@@ -20,8 +20,10 @@ from rotke import (
     metric_in_x,
     projective_induction_check,
     series_exp,
+    series_diff,
     series_log1p,
 )
+from rotke import geometry
 from rotke.algebra import CoefPoly, grlex_key
 from rotke.geometry import _minor_determinant, _poly_hash, lambda_in_lowest_terms
 
@@ -182,6 +184,61 @@ class TestMetric:
                 A[size - 1] = list(A[1])
                 assert self.leibniz(A).is_zero()
                 assert _minor_determinant(A).is_zero()
+
+
+def full_det_numerator(P, trunc):
+    """det B by the minor expansion over all n + 1 rows: the reference for
+    the free-variable reduction of det_numerator."""
+    n = P.n
+    row0 = [P] + [series_diff(P, a) for a in range(1, n + 1)]
+    row0 = [entry.truncate(trunc) for entry in row0]
+    rows = [row0]
+    for a in range(1, n + 1):
+        xa = tuple(int(i == a - 1) for i in range(n))
+        row = [series_diff(entry, a).shift_monomial(xa) for entry in row0]
+        row[a] = row0[a] + row[a]
+        rows.append(row)
+    return _minor_determinant(rows)
+
+
+class TestFreeVariableReduction:
+    @staticmethod
+    def spec_using(rng, n, used, symbolic):
+        """A spec whose support monomials use exactly the variables `used`."""
+        while True:
+            monos = set()
+            for _ in range(rng.randint(1, 3)):
+                m = [0] * n
+                for _ in range(rng.randint(2, 3)):
+                    m[rng.choice(used)] += 1
+                monos.add(tuple(m))
+            if {i for m in monos for i in range(n) if m[i]} == set(used):
+                break
+        if symbolic:
+            return PotentialSpec.symbolic(n, sorted(monos))
+        return PotentialSpec(n, tuple((m, Fraction(rng.randint(1, 9), rng.randint(2, 5))) for m in sorted(monos)))
+
+    def test_equals_the_full_expansion(self, rng, monkeypatch):
+        sizes = []
+        real = _minor_determinant
+        monkeypatch.setattr(geometry, "_minor_determinant", lambda rows: sizes.append(len(rows)) or real(rows))
+        for trial in range(80):
+            n = rng.randint(2, 5)
+            used = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+            spec = self.spec_using(rng, n, used, symbolic=trial % 2 == 0)
+            D = 1 if trial % 2 == 0 else lcm(*(c.denominator for _, c in spec.support))
+            P = build_potential(spec, spec.det_b_degree()).scale(D)
+            d = spec.max_degree()
+            for t in (d - 1, d + 1, spec.det_b_degree()):
+                sizes.clear()
+                assert det_numerator(P, t) == full_det_numerator(P, t), (spec, D, t)
+                assert sizes[0] == len(used) + 1
+
+    def test_unit_fubini_study_is_one(self):
+        for n in range(1, 9):
+            P = build_potential(cpn_unit(n), n + 1)
+            assert det_numerator(P) == Series.one(n, n + 1)
+            assert det_numerator(P.scale(3)) == Series.one(n, n + 1).scale(3 ** (n + 1))
 
 
 class TestResidualAndCertificates:

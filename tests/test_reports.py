@@ -112,8 +112,9 @@ class TestMalformed:
         (range(2, 8), 3, 2, "f71989f517c9d8bf6b36d663b755f4c6befd942d912edbb45360d59ac47fa7ba"),
         (range(2, 5), 3, 3, "8b267a7598212b1ddf2b7b227a4b5498657dfaea816d34535fa7ccff73516cbd"),
         (range(1, 3), 2, 2, "12544b3f524caf7c4d542a038d33caa43f1f808507cd2f5b45c6a3e015002aee"),
+        (range(2, 5), 3, 4, "ffe42c71777e34829de9a3c345ed472a6a0564e3f4767d2ffda505082c592ec0"),
     ],
-    ids=["dims2-7-deg2", "dims2-4-deg3", "dims1-2-codim2"],
+    ids=["dims2-7-deg2", "dims2-4-deg3", "dims1-2-codim2", "dims2-4-deg4"],
 )
 def test_sweep_report_bytes_are_pinned(dims, k_max, deg_cap, digest):
     # the same under every hash seed, and through every refactor that does

@@ -49,6 +49,13 @@ class TestRingLaws:
                 assert a.pow_trunc(k) == acc
                 acc = acc * a
 
+
+    def test_first_power_is_the_series_itself(self, monkeypatch):
+        monkeypatch.setattr(Series, "mul_trunc", lambda *args: pytest.fail("pow_trunc(1) multiplied"))
+        rng = random.Random(24)
+        for i in range(10):
+            a = rand_series(rng, numeric=i % 2 == 0)
+            assert a.pow_trunc(1) is a
     def test_mul_truncates_consistently(self):
         rng = random.Random(24)
         for _ in range(60):

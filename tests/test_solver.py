@@ -462,3 +462,57 @@ def test_prescreen_tiers_match_the_single_prescreen():
         spec = PotentialSpec.symbolic(e.n, e.support)
         ref = solve_system(extract_constraints(spec, spec.max_degree() + 1))
         assert (ref.status, repr(ref.witness), "prescreen") == ("INFEASIBLE", e.witness, e.note), e
+
+
+@pytest.mark.parametrize("n, deg_cap", [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4), (4, 4)])
+def test_generic_prescreen_equals_extract_constraints(n, deg_cap):
+    prescreen = solver.GenericPrescreen()
+    specs = [s for s in enumerate_supports(n, 3, deg_cap) if s.max_degree() >= 3]
+    assert specs
+    for spec in specs:
+        assert prescreen.system(spec) == extract_constraints(spec, spec.max_degree() - 1), spec
+
+
+def test_generic_prescreen_is_built_per_sweep_and_per_dimension(monkeypatch):
+    builds, snapshots = [], []
+    real_build, real_system = solver._generic_residual, solver.GenericPrescreen.system
+
+    def build_spy(n, d):
+        builds.append((n, d))
+        return real_build(n, d)
+
+    def system_spy(self, spec):
+        system = real_system(self, spec)
+        snapshots.append((self, self.n, sorted(self.generic)))
+        return system
+
+    monkeypatch.setattr(solver, "_generic_residual", build_spy)
+    monkeypatch.setattr(solver.GenericPrescreen, "system", system_spy)
+    first = sweep([2, 3], 2, deg_cap=4)
+    assert builds == [(2, 3), (2, 4), (3, 3), (3, 4)]
+    assert sweep([2, 3], 2, deg_cap=4) == first
+    assert builds == [(2, 3), (2, 4), (3, 3), (3, 4)] * 2
+    # one cache per sweep, and a new dimension empties it
+    assert len({id(cache) for cache, _, _ in snapshots}) == 2
+    for (cache, n, held), (prev_cache, prev_n, _) in zip(snapshots[1:], snapshots):
+        if cache is prev_cache and n != prev_n:
+            assert len(held) == 1, (n, held)
+
+
+def test_sweep_refuses_a_truncation_below_its_floor(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "enumerate_supports", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="below 2"):
+        sweep([2], 1, deg_cap=3, trunc=1)
+    with pytest.raises(ValueError, match="below 1"):
+        sweep([7], 3, deg_cap=2, trunc=0)
+    assert calls == []
+    assert solver.sweep_min_truncation([2], 1, 3) == 2
+    assert solver.sweep_min_truncation([2], 0, 3) == 1
+    assert solver.sweep_min_truncation([5, 7], 2, 4) == 1
+    assert solver.sweep_min_truncation([4, 7], 2, 4) == 3
+
+
+def test_sweep_at_its_floor_decides_every_entry():
+    report = sweep([2], 1, deg_cap=3, trunc=3)
+    assert report.counts() == {"SOLVED": 2, "INFEASIBLE": 3, "UNRESOLVED": 0, "SHORTCUT": 0}

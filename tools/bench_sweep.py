@@ -1,5 +1,5 @@
-"""Time the acceptance sweep per dimension and per layer; append one row to
-BENCH_sweep.json.
+"""Time the acceptance sweep per dimension and per layer, and the degree-4
+sweep as a whole; append one row to BENCH_sweep.json.
 
     PYTHONPATH=src python3 tools/bench_sweep.py --label change --commit "$(git rev-parse --short HEAD)"
 
@@ -15,12 +15,17 @@ acceptance sweep is sweep(range(2, 7), 3, deg_cap=3).  A row holds:
   enumerate_supports, building P, det_numerator, the log1p residual,
   solve_system, certify_exact and classify; where the program has
   ``log1p_numerator`` (the integral log1p kernel) it is traced as well, so
-  the log layer is the self time of both log spans;
+  the log layer is the self time of both log spans, and where it has
+  ``solver._generic_residual`` (the generic prescreen residual of one
+  (n, deg P)) that build is a layer of its own;
 - ``certify_s``: the fastest of --reps runs of ``certify_exact`` on each of
   the scaled models CP^4 scaled(2), CP^3 scaled(3), CP^2 scaled(4),
   CP^2 scaled(3) and CP^3 scaled(2), with P = (1 + sum x / q)^q and
   lambda = 2(n+1)/q: the largest certificates among the models, and those
   whose bordered determinant det B costs most next to the powers;
+- ``deg_cap4``: the second workload, sweep(range(2, 7), 3, deg_cap=4), with
+  the time of one untraced run, the layers of one traced run and its
+  report's SHA-256;
 - the SHA-256 of the sweep's JSON report, the Python version, the CPU model
   and nproc.
 """
@@ -52,8 +57,10 @@ from rotke.solver import sweep  # noqa: E402
 
 DIMS = range(2, 7)
 K_MAX, DEG_CAP = 3, 3
+DEG_CAP_SECOND = 4
 LAYERS = (
     "solver.enumerate_supports",
+    "solver._generic_residual",
     "geometry.build_potential",
     "geometry.det_numerator",
     "series.series_log1p",
@@ -65,7 +72,7 @@ LAYERS = (
 # (n, q) of the CP^n scaled(q) certificates timed.
 SCALED_MODELS = ((4, 2), (3, 3), (2, 4), (2, 3), (3, 2))
 # Traced here besides perfbench's own list, when the program has it.
-EXTRA_TRACED = (("series", "log1p_numerator", None),)
+EXTRA_TRACED = (("series", "log1p_numerator", None), ("solver", "_generic_residual", None))
 
 
 def cpu_model() -> str:
@@ -117,15 +124,11 @@ def certify_times(reps: int) -> dict:
     return times
 
 
-def traced_layers():
-    present = tuple(
-        e for e in EXTRA_TRACED if hasattr(importlib.import_module(f"rotke.{e[0]}"), e[1])
-    )
-    tracing.TRACED = tracing.TRACED + present
+def traced_layers(deg_cap: int):
     tracer = tracing.Tracer()
     with tracer:
         t0 = time.perf_counter()
-        report = sweep(DIMS, K_MAX, deg_cap=DEG_CAP)
+        report = sweep(DIMS, K_MAX, deg_cap=deg_cap)
         wall = time.perf_counter() - t0
     summary = tracing.layer_summary(tracer.spans)
     layers = {
@@ -137,8 +140,28 @@ def traced_layers():
         for name in LAYERS
         if name in summary
     }
+    return round(wall, 3), layers, report_digest(report)
+
+
+def report_digest(report) -> str:
     text = reports.render_json(reports.sweep_payload(report))
-    return round(wall, 3), layers, hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def second_workload() -> dict:
+    t0 = time.perf_counter()
+    report = sweep(DIMS, K_MAX, deg_cap=DEG_CAP_SECOND)
+    wall = time.perf_counter() - t0
+    traced_wall, layers, digest = traced_layers(DEG_CAP_SECOND)
+    if digest != report_digest(report):
+        raise SystemExit("the traced and untraced degree-4 sweeps wrote different reports")
+    return {
+        "sweep": f"sweep(range(2, 7), {K_MAX}, deg_cap={DEG_CAP_SECOND})",
+        "wall_s": round(wall, 3),
+        "traced_wall_s": traced_wall,
+        "layers": layers,
+        "report_sha256": digest,
+    }
 
 
 def main() -> int:
@@ -149,9 +172,13 @@ def main() -> int:
     p.add_argument("--out", default=str(ROOT / "BENCH_sweep.json"))
     args = p.parse_args()
 
+    tracing.TRACED = tracing.TRACED + tuple(
+        e for e in EXTRA_TRACED if hasattr(importlib.import_module(f"rotke.{e[0]}"), e[1])
+    )
     walls = per_n_walls(args.reps)
-    traced_wall, layers, digest = traced_layers()
+    traced_wall, layers, digest = traced_layers(DEG_CAP)
     certify_s = certify_times(args.reps)
+    deg_cap4 = second_workload()
     row = {
         "label": args.label,
         "commit": args.commit,
@@ -166,10 +193,11 @@ def main() -> int:
         "layers": layers,
         "certify_s": certify_s,
         "report_sha256": digest,
+        "deg_cap4": deg_cap4,
     }
     path = Path(args.out)
     bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {
-        "workload": f"sweep(range(2, 7), {K_MAX}, deg_cap={DEG_CAP}), --jobs 1",
+        "workload": f"sweep(range(2, 7), {K_MAX}, deg_cap={DEG_CAP}) and deg_cap={DEG_CAP_SECOND}, --jobs 1",
         "script": "tools/bench_sweep.py",
         "rows": [],
     }
