@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .oracle import ORACLE_MAX_DIMENSION, rotation_project, zspace_det_numerator
 from .reports import SpecFileError, load_json
-from .solver import EngineError, extract_constraints, min_truncation, sweep, sweep_min_truncation
+from .solver import EngineError, check_sweep_work, extract_constraints, min_truncation, sweep, sweep_min_truncation
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -207,11 +207,15 @@ def cmd_sweep(args) -> int:
         raise _Usage("--max-codim must be >= 0")
     if args.deg_cap is not None and args.deg_cap < 2:
         raise _Usage("--deg-cap must be >= 2")
+    deg_cap = args.deg_cap if args.deg_cap is not None else max(args.max_codim, 2)
     if args.degree is not None:
-        deg_cap = args.deg_cap if args.deg_cap is not None else max(args.max_codim, 2)
         floor = sweep_min_truncation(range(a, b + 1), args.max_codim, deg_cap)
         if args.degree < floor:
             raise _Usage(f"--degree must be >= {floor} for these options")
+    try:
+        check_sweep_work(range(a, b + 1), args.max_codim, deg_cap)
+    except ValueError as exc:
+        raise _Usage(f"{exc}; lower --max-codim or --deg-cap")
     if args.jobs < 1:
         raise _Usage("--jobs must be >= 1")
     report = sweep(

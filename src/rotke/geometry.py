@@ -45,6 +45,7 @@ from .series import (
     Series,
     _add_graded_product,
     _collect,
+    _from_parts,
     _homogeneous_parts,
     _raw,
     log1p_numerator,
@@ -204,15 +205,23 @@ def _minor_determinant(A: Sequence[Sequence[Series]]) -> Series:
     free.
 
     Each minor is built on its own, as sum_{c in S} +-A[r][c] minor[S - c]
-    accumulated in place in one raw accumulator, with the Laplace sign
-    folded into the product.  Identically zero entries and zero minors are
-    skipped; in `det_numerator` the entry x_a Q_ab of row a vanishes unless
-    some support monomial contains both x_a and x_b, so most of B is zero.
+    accumulated in place in one raw accumulator per degree, with the
+    Laplace sign folded into the product.  Identically zero entries and zero
+    minors are skipped; in `det_numerator` the entry x_a Q_ab of row a
+    vanishes unless some support monomial contains both x_a and x_b, so most
+    of B is zero.
+
+    Entries and minors are packed parts (see `series`): each x-monomial is
+    one int key sum_i m_i B^i with B = trunc + 1, and each minor is kept as
+    its list of packed terms per degree from one row to the next.  Every
+    kept product has degree <= cap <= trunc < B, so adding the keys of an
+    entry term and a minor term never carries and gives the key of their
+    product.  Only det A itself is unpacked.
     """
     m = len(A)
     nvars, trunc = A[0][0].n, A[0][0].trunc
-    entries = [[_homogeneous_parts(e.terms, trunc) if e.terms else None for e in row] for row in A]
-    minors: Dict[int, Parts] = {0: _homogeneous_parts(Series.one(nvars, trunc).terms, 0)}
+    entries = [[_homogeneous_parts(e.terms, trunc, trunc) if e.terms else None for e in row] for row in A]
+    minors: Dict[int, Parts] = {0: _homogeneous_parts(Series.one(nvars, trunc).terms, 0, trunc)}
     for r in range(m):
         low = (1 << (r + 1)) - 1
         targets = sorted({sub | 1 << c for sub in minors for c in range(m) if not sub >> c & 1})
@@ -221,7 +230,7 @@ def _minor_determinant(A: Sequence[Sequence[Series]]) -> Series:
             cap = trunc - bin(cols & ~low).count("1")
             if cap < 0:
                 continue
-            acc: Dict[MultiIndex, dict] = {}
+            acc: List[Dict[int, dict]] = [{} for _ in range(cap + 1)]
             for c in range(m):
                 bit = 1 << c
                 entry, minor = entries[r][c], minors.get(cols ^ bit) if cols & bit else None
@@ -230,12 +239,11 @@ def _minor_determinant(A: Sequence[Sequence[Series]]) -> Series:
                 # Laplace sign: (-1)^(columns of cols to the right of c)
                 sign = -1 if bin(cols >> (c + 1)).count("1") & 1 else 1
                 _add_graded_product(acc, entry, minor, cap, sign)
-            terms = _collect(acc, 1)
-            if terms:
-                nxt[cols] = _homogeneous_parts(terms, cap)
+            parts = [_collect(cell, 1) for cell in acc]
+            if any(parts):
+                nxt[cols] = parts
         minors = nxt
-    full = minors.get((1 << m) - 1, [])
-    return Series(nvars, trunc, {mono: c for part in full for mono, c in part})
+    return _from_parts(nvars, trunc, minors.get((1 << m) - 1, []))
 
 
 def det_numerator(P: Series, trunc: Optional[int] = None) -> Series:

@@ -4,13 +4,24 @@ Coefficients are CoefPoly, so the same arithmetic serves numeric potentials
 and symbolic constraint generation.  The truncation degree D is fixed at
 creation; combining series with different dimension or truncation is an
 error, never an implicit min.
+
+Inside the product kernels an x-monomial m is packed into one int key,
+k = sum_i m_i B^i with B = trunc + 1, so adding two keys multiplies the two
+monomials.  This is exact: a kept term has total degree <= cap <= trunc,
+so every exponent of every operand and of every kept product is below B.
+Adding keys therefore never carries from one digit into the next, and
+distinct monomials keep distinct keys.  Kernel data ("parts") are lists by
+total degree of (key, coefficient term dict) pairs; they stay packed and
+graded from one kernel step to the next (the minors of
+`geometry._minor_determinant`, the parts of `_degree_recurrence`) and are
+unpacked once, when the result Series is built.  `Series.terms` stays keyed
+by exponent tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .algebra import (
@@ -121,10 +132,11 @@ class Series:
 
     def mul_trunc(self, other: "Series", cap: int) -> "Series":
         """Cauchy product keeping only terms of total degree <= cap (<= trunc)."""
-        cap = min(cap, self.trunc)
-        acc: Dict[MultiIndex, dict] = {}
-        _add_graded_product(acc, _homogeneous_parts(self.terms, cap), _homogeneous_parts(other.terms, cap), cap)
-        return _raw(self.n, self.trunc, _collect(acc, 1))
+        n, trunc = self.n, self.trunc
+        cap = min(cap, trunc)
+        acc: List[Dict[int, dict]] = [{} for _ in range(cap + 1)]
+        _add_graded_product(acc, _homogeneous_parts(self.terms, cap, trunc), _homogeneous_parts(other.terms, cap, trunc), cap)
+        return _from_parts(n, trunc, [_collect(cell, 1) for cell in acc])
 
     def scale(self, k: CoefLike) -> "Series":
         p = _as_poly(k)
@@ -241,60 +253,113 @@ def _raw(n: int, trunc: int, terms: Dict[MultiIndex, CoefPoly]) -> Series:
     return s
 
 
-def _add_product(acc: Dict[MultiIndex, dict], m: MultiIndex, t1, t2: dict) -> None:
-    """acc[m] += t1 * t2 for coefficient terms t1 (pairs) and t2 (a dict).
+Part = List[Tuple[int, dict]]
+Parts = List[Part]
 
-    Sums are kept per unknown-monomial as plain numbers, so a Cauchy product
-    builds one CoefPoly per x-monomial, not two per pair of terms.
+
+def _pack(m: MultiIndex, base: int) -> int:
+    """The key sum_i m_i base^i of the monomial x^m."""
+    k = 0
+    for e in reversed(m):
+        k = k * base + e
+    return k
+
+
+def _unpack(k: int, n: int, base: int) -> MultiIndex:
+    m = []
+    for _ in range(n):
+        k, e = divmod(k, base)
+        m.append(e)
+    return tuple(m)
+
+
+def _poly(terms: dict) -> CoefPoly:
+    p = CoefPoly.__new__(CoefPoly)
+    p.terms = terms
+    return p
+
+
+def _homogeneous_parts(terms: Mapping[MultiIndex, CoefPoly], cap: int, trunc: int) -> Parts:
+    """The terms of degree <= cap as (key, term dict) pairs packed for
+    truncation trunc (base trunc + 1), grouped by total degree 0..cap: one
+    pass, no sort."""
+    base = trunc + 1
+    parts: Parts = [[] for _ in range(cap + 1)]
+    for m, c in terms.items():
+        d = sum(m)
+        if d <= cap:
+            parts[d].append((_pack(m, base), c.terms))
+    return parts
+
+
+def _from_parts(n: int, trunc: int, parts: Parts) -> Series:
+    """The Series of parts packed for truncation trunc, its terms in order
+    of degree."""
+    base = trunc + 1
+    return _raw(n, trunc, {_unpack(k, n, base): _poly(t) for part in parts for k, t in part})
+
+
+def _add_product(acc: Dict[int, dict], left: Part, right: Part, factor: int = 1) -> None:
+    """acc[k1 + k2] += factor * t1 * t2 over every pair of a packed left
+    term (k1, t1) and right term (k2, t2).
+
+    Each cell keeps its sums per unknown-monomial as plain numbers, so a
+    Cauchy product builds one CoefPoly per x-monomial, not two per pair of
+    terms.  A constant left coefficient, the only kind in numeric series,
+    multiplies the right term dict as one number.
     """
-    cell = acc.get(m)
-    if cell is None:
-        cell = acc[m] = {}
-    for u1, a in t1:
-        for u2, b in t2.items():
-            u = _umono_mul(u1, u2) if u1 and u2 else (u1 or u2)
-            cell[u] = cell.get(u, 0) + a * b
+    for k1, t1 in left:
+        if len(t1) == 1 and () in t1:
+            a = factor * t1[()]
+            for k2, t2 in right:
+                k = k1 + k2
+                cell = acc.get(k)
+                if cell is None:
+                    acc[k] = {u: a * b for u, b in t2.items()}
+                else:
+                    for u, b in t2.items():
+                        cell[u] = cell.get(u, 0) + a * b
+            continue
+        items = t1.items() if factor == 1 else [(u, factor * a) for u, a in t1.items()]
+        for k2, t2 in right:
+            k = k1 + k2
+            cell = acc.get(k)
+            if cell is None:
+                cell = acc[k] = {}
+            for u1, a in items:
+                for u2, b in t2.items():
+                    u = _umono_mul(u1, u2) if u1 and u2 else (u1 or u2)
+                    cell[u] = cell.get(u, 0) + a * b
 
 
-def _collect(acc: Dict[MultiIndex, dict], q: RationalLike) -> Dict[MultiIndex, CoefPoly]:
-    """The nonzero coefficients of acc, each divided by q."""
-    out: Dict[MultiIndex, CoefPoly] = {}
-    for m, cell in acc.items():
+def _collect(acc: Dict[int, dict], q: RationalLike) -> Part:
+    """The nonzero cells of acc, each divided by q, as a packed part."""
+    out: Part = []
+    for k, cell in acc.items():
         if q == 1:
             terms = {u: v for u, v in cell.items() if v}
         else:
             terms = {u: exact_quotient(v, q) for u, v in cell.items() if v}
         if terms:
-            p = CoefPoly.__new__(CoefPoly)
-            p.terms = terms
-            out[m] = p
+            out.append((k, terms))
     return out
 
 
-Parts = List[List[Tuple[MultiIndex, CoefPoly]]]
+def _add_graded_product(acc: List[Dict[int, dict]], left: Parts, right: Parts, cap: int, factor: int = 1) -> None:
+    """acc[d] += factor * left * right over the pairs of total degree
+    d <= cap, for `_homogeneous_parts` lists packed for one truncation
+    (keys sum_i m_i B^i, B = trunc + 1) and acc holding one dict per degree
+    0..cap.
 
-
-def _homogeneous_parts(terms: Mapping[MultiIndex, CoefPoly], cap: int) -> Parts:
-    """The terms of degree <= cap grouped by total degree 0..cap: one pass,
-    no sort."""
-    parts: Parts = [[] for _ in range(cap + 1)]
-    for m, c in terms.items():
-        d = sum(m)
-        if d <= cap:
-            parts[d].append((m, c))
-    return parts
-
-
-def _add_graded_product(acc: Dict[MultiIndex, dict], left: Parts, right: Parts, cap: int, factor: int = 1) -> None:
-    """acc += factor * left * right over the pairs of total degree <= cap, for
-    `_homogeneous_parts` lists; the factor is folded into the left coefficients."""
+    A product of degree <= cap <= B - 1 has every exponent below B, so the
+    sum of the two keys is the key of the product monomial: no digit
+    carries.
+    """
     for d1 in range(min(cap, len(left) - 1) + 1):
-        rights = right[: cap - d1 + 1]
-        for m1, c1 in left[d1]:
-            t1 = c1.terms.items() if factor == 1 else [(u, factor * a) for u, a in c1.terms.items()]
-            for part in rights:
-                for m2, c2 in part:
-                    _add_product(acc, tuple(map(add, m1, m2)), t1, c2.terms)
+        if left[d1]:
+            for d2 in range(min(cap - d1, len(right) - 1) + 1):
+                if right[d2]:
+                    _add_product(acc[d1 + d2], left[d1], right[d2], factor)
 
 
 def _degree_recurrence(
@@ -309,31 +374,23 @@ def _degree_recurrence(
         G_d = plus_d + (sum_{j=1..d} weight(j, d) f_j G_{d-j}) / divisor(d),
 
     f_j, G_d and plus_d being the homogeneous parts of total degree j and d.
-    One pass of |f| x |G| coefficient products.
+    One pass of |f| x |G| coefficient products, on packed parts.
     """
     n, trunc = f.n, f.trunc
-    f_parts = _homogeneous_parts(f.terms, trunc)
-    plus_parts = _homogeneous_parts(plus.terms, trunc) if plus is not None else None
-    zero = (0,) * n
-    out: Dict[MultiIndex, CoefPoly] = {}
-    g_parts: Parts = [[]]
-    if not g0.is_zero():
-        out[zero] = g0
-        g_parts[0].append((zero, g0))
+    f_parts = _homogeneous_parts(f.terms, trunc, trunc)
+    plus_parts = _homogeneous_parts(plus.terms, trunc, trunc) if plus is not None else None
+    g_parts: Parts = [[] if g0.is_zero() else [(0, g0.terms)]]
     for d in range(1, trunc + 1):
-        acc: Dict[MultiIndex, dict] = {}
+        acc: Dict[int, dict] = {}
         for j in range(1, d + 1):
             w = weight(j, d)
-            if w and g_parts[d - j]:
-                _add_graded_product(acc, [f_parts[j]], [g_parts[d - j]], 0, w)
+            if w and f_parts[j] and g_parts[d - j]:
+                _add_product(acc, f_parts[j], g_parts[d - j], w)
         q = divisor(d)
         if plus_parts is not None:
-            for m, c in plus_parts[d]:
-                _add_product(acc, m, c.terms.items(), {(): q})
-        part = _collect(acc, q)
-        out.update(part)
-        g_parts.append(list(part.items()))
-    return _raw(n, trunc, out)
+            _add_product(acc, [(0, {(): q})], plus_parts[d])
+        g_parts.append(_collect(acc, q))
+    return _from_parts(n, trunc, g_parts)
 
 
 # ---------------------------------------------------------------------------

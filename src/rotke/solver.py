@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import comb, gcd
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -793,6 +793,39 @@ def sweep_min_truncation(dims: Iterable[int], k_max: int, deg_cap: int) -> int:
     return max(deg_cap - 1, 1) if k_max >= 1 and min(dims) <= 2 * k_max else 1
 
 
+# Most candidate supports `sweep` may face in one dimension.  Orderly
+# generation scans the canonical extensions of canonical supports, so its work
+# is bounded by, and in practice grows with, sum_{j <= k_max} C(M_n, j), M_n
+# the number of monomials of degree 2..deg_cap in n variables.  The cap admits
+# every dimension up to 6 at deg_cap 4 (1,394,408 at n = 6, where the
+# enumeration takes about 6 s) and n = 8 at deg_cap 3 (632,867); dims 2..2
+# with k_max = 8 and deg_cap = 8 (about 1.5 * 10^8) is refused instead of
+# running for hours.
+MAX_CANDIDATE_SUPPORTS = 2_000_000
+
+
+def candidate_support_count(n: int, k_max: int, deg_cap: int) -> int:
+    """sum_{j <= k_max} C(M_n, j), M_n the number of monomials of degree
+    2..deg_cap in n variables: the supports of size <= k_max before the
+    orbits are taken."""
+    monomials = comb(n + deg_cap, n) - n - 1
+    return sum(comb(monomials, j) for j in range(k_max + 1))
+
+
+def check_sweep_work(dims: Iterable[int], k_max: int, deg_cap: int) -> None:
+    """Raise ValueError when a dimension that `sweep` enumerates (n <= 2 k_max)
+    has more than MAX_CANDIDATE_SUPPORTS candidate supports."""
+    for n in sorted(set(dims)):
+        if n > 2 * k_max:
+            continue
+        count = candidate_support_count(n, k_max, deg_cap)
+        if count > MAX_CANDIDATE_SUPPORTS:
+            raise ValueError(
+                f"dimension {n} has {count} candidate supports of size <= {k_max} and degree <= {deg_cap}, "
+                f"more than the cap of {MAX_CANDIDATE_SUPPORTS}"
+            )
+
+
 _worker_prescreen: Optional[GenericPrescreen] = None
 
 
@@ -817,9 +850,10 @@ def sweep(
 
     Completeness is only claimed up to deg_cap (default max(k_max, 2)); for
     n > 2k the enumeration for codimension k is skipped and the totally
-    geodesic entry recorded directly.  A trunc below `sweep_min_truncation`
-    raises ValueError before any work.  Output is deterministic and
-    independent of the worker count.
+    geodesic entry recorded directly.  A trunc below `sweep_min_truncation`,
+    or more candidate supports in one dimension than MAX_CANDIDATE_SUPPORTS
+    (`check_sweep_work`), raises ValueError before any work.  Output is
+    deterministic and independent of the worker count.
 
     The t = deg P - 1 prescreens read one generic residual per (n, deg P)
     (`GenericPrescreen`).  Its cache lives for this call only: with one job
@@ -837,6 +871,7 @@ def sweep(
     floor = sweep_min_truncation(dims, k_max, deg_cap)
     if trunc < floor:
         raise ValueError(f"truncation {trunc} is below {floor}, the least at which every support of this sweep enters")
+    check_sweep_work(dims, k_max, deg_cap)
     tasks = []
     shortcut_entries = []
     for n in dims:

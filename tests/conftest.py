@@ -35,6 +35,36 @@ def rand_series(rng, n=2, trunc=5, numeric=True, max_terms=6):
     return s
 
 
+def cauchy_product(a, b, cap):
+    """a * b through total degree cap by the plain sum over pairs of exponent
+    tuples, with CoefPoly products: the reference for the packed kernels of
+    `rotke.series`, sharing none of their code."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if sum(m) <= cap:
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return Series(a.n, a.trunc, out)
+
+
+def rand_edge_series(rng, n, trunc, numeric=True, max_terms=5, constant=True):
+    """A random series in n variables whose monomials sit at the edge of the
+    packed keys: degrees 0, 1, trunc - 1 and trunc, and pure powers up to
+    x_i^trunc, whose exponent is the largest digit of base trunc + 1."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        d = rng.choice((0, 1, trunc - 1, trunc, rng.randint(0, trunc))) if constant else rng.randint(1, trunc)
+        m = [0] * n
+        if rng.random() < 0.4:
+            m[rng.randrange(n)] = d
+        else:
+            for _ in range(d):
+                m[rng.randrange(n)] += 1
+        terms[tuple(m)] = rand_fraction(rng, nonzero=True) if numeric else rand_coefpoly(rng)
+    return Series(n, trunc, terms)
+
+
 def rand_spec(rng, n=2, max_deg=3, max_terms=3, signed=False):
     """Random numeric potential spec; signed=True allows negative coefficients
     (induced flag off) for oracle stress tests."""

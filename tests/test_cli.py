@@ -11,7 +11,7 @@ from rotke import PotentialSpec
 from rotke.algebra import monomials_up_to
 from rotke.cli import main
 from rotke.reports import SpecFileError, emit_spec, parse_potential, parse_spec
-from rotke.solver import ClassificationReport
+from rotke.solver import MAX_CANDIDATE_SUPPORTS, ClassificationReport
 
 from conftest import rand_spec
 
@@ -341,6 +341,16 @@ class TestSweepCommand:
         assert json.loads(out.read_text())["counts"] == {"INFEASIBLE": 3, "SHORTCUT": 0, "SOLVED": 2, "UNRESOLVED": 0}
         assert main([*argv, "--degree", "1"]) == 2
         assert "--degree must be >= 2" in capsys.readouterr().err
+
+    def test_too_many_candidate_supports_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(rotke.cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+        assert main(["sweep", "--dims", "2..2", "--max-codim", "8", "--deg-cap", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "dimension 2 has 151229281 candidate supports of size <= 8 and degree <= 8" in err
+        assert f"more than the cap of {MAX_CANDIDATE_SUPPORTS}; lower --max-codim or --deg-cap" in err
+        # without --deg-cap the cap is max(max-codim, 2)
+        assert main(["sweep", "--dims", "2..2", "--max-codim", "8"]) == 2
+        assert "degree <= 8" in capsys.readouterr().err
 
     def test_jobs_capped_at_cpu_count(self, monkeypatch, capsys):
         seen = []

@@ -27,7 +27,7 @@ from rotke import geometry
 from rotke.algebra import CoefPoly, grlex_key
 from rotke.geometry import _minor_determinant, _poly_hash, lambda_in_lowest_terms
 
-from conftest import cpn_unit, rand_series, rand_spec
+from conftest import cauchy_product, cpn_unit, rand_edge_series, rand_series, rand_spec
 
 
 def scaled_fubini_study(n, q):
@@ -138,14 +138,15 @@ class TestMetric:
 
     @staticmethod
     def leibniz(A):
-        """The literal sum over permutations, sign by inversion count."""
+        """The literal sum over permutations, sign by inversion count, with
+        the products by `cauchy_product` on exponent tuples."""
         m = len(A)
         n, trunc = A[0][0].n, A[0][0].trunc
         total = Series.zero(n, trunc)
         for perm in permutations(range(m)):
             term = Series.one(n, trunc)
             for r in range(m):
-                term = term * A[r][perm[r]]
+                term = cauchy_product(term, A[r][perm[r]], trunc)
             inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
             total = total - term if inversions & 1 else total + term
         return total
@@ -160,7 +161,7 @@ class TestMetric:
             for c in range(size):
                 s = Series.zero(n, trunc)
                 if rng.random() >= zero_frac:
-                    s = rand_series(rng, n=n, trunc=trunc, numeric=numeric)
+                    s = rand_edge_series(rng, n, trunc, numeric, max_terms=4)
                 if r and c != r:
                     s = Series(n, trunc, {m: v for m, v in s.terms.items() if sum(m)})
                 row.append(s)
@@ -168,10 +169,13 @@ class TestMetric:
         return A
 
     def test_minor_determinant_matches_leibniz(self, rng):
-        for trial in range(60):
+        # n = 1..8 and truncations up to cli.MAX_DEGREE: the packed keys of
+        # the expansion have base trunc + 1, and the entries hold x_i^trunc
+        for trial in range(90):
             size = rng.choice((1, 2, 3, 4))
-            n = rng.choice((1, 2))
-            A = self.shaped_like_b(rng, size, n, rng.randint(1, 5), numeric=trial % 3 != 0)
+            n = rng.randint(1, 8)
+            trunc = rng.choice((1, 2, 3, 4, 5, 8, 13, 32))
+            A = self.shaped_like_b(rng, size, n, trunc, numeric=trial % 3 != 0)
             assert _minor_determinant(A) == self.leibniz(A), A
 
     def test_minor_determinant_of_singular_matrix_is_zero(self, rng):
@@ -414,6 +418,20 @@ class TestIntegralCertificates:
             "FAIL", "det(B)^2 * P^1 = 1",
             "1289d632c5304d72e120943dcc8b1f6d091bbc0d04a44299f6328b8ad4dbb02e",
             "83938d367ab66c74cd33f694c2f9c548bbf605116e603e31357f8239cbe07b3c", (1,))),
+        # the largest scaled models of tools/bench_sweep.py, whose det B and
+        # powers run longest in the packed kernels
+        (scaled_fubini_study(4, 2), Fraction(5), (
+            "PASS", "det(B)^2 = P^5",
+            "3369ce7e5091ba02e4f2a70ae10821486b31ed2da0a5ace23fcbe791bf3483a6",
+            "3369ce7e5091ba02e4f2a70ae10821486b31ed2da0a5ace23fcbe791bf3483a6", None)),
+        (scaled_fubini_study(3, 3), Fraction(8, 3), (
+            "PASS", "det(B)^3 = P^8",
+            "508bd1cdc90537da854d5bb4fc69283557f7a959c98c561d61f5db05795acebe",
+            "508bd1cdc90537da854d5bb4fc69283557f7a959c98c561d61f5db05795acebe", None)),
+        (scaled_fubini_study(2, 3), Fraction(2), (
+            "PASS", "det(B)^1 = P^2",
+            "8a15c71eb1d7c55f1ad9bebc60d74769d6730529a3d7abf3dbd6d1cd602b99d8",
+            "8a15c71eb1d7c55f1ad9bebc60d74769d6730529a3d7abf3dbd6d1cd602b99d8", None)),
     ]
 
     @pytest.mark.parametrize("spec,lam,expected", PINNED)

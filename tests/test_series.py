@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 
 from rotke import Series, series_diff, series_exp, series_log1p
 from rotke.algebra import CoefPoly
+from rotke.series import log1p_numerator
 
-from conftest import rand_fraction, rand_series
+from conftest import cauchy_product, rand_edge_series, rand_fraction, rand_series
+
+TRUNCS = (1, 2, 3, 5, 8, 13, 32)  # up to cli.MAX_DEGREE
 
 
 class TestRingLaws:
@@ -63,6 +67,79 @@ class TestRingLaws:
             b = rand_series(rng, trunc=7)
             wide = a * b
             assert (a.truncate(4) * b.truncate(4)) == wide.truncate(4)
+
+
+class TestPackedKernels:
+    """The kernels pack x^m into sum_i m_i B^i with B = trunc + 1; each is
+    compared with `cauchy_product` on exponent tuples, for n = 1..8 and
+    truncations up to 32, on monomials that use the top digit B - 1."""
+
+    @staticmethod
+    def meeting_at(rng, a, b, cap):
+        """a and b plus x_i^j and x_i^(cap - j): a product that lands exactly
+        on degree cap, with exponent cap in one digit."""
+        i, j = rng.randrange(a.n), rng.randint(0, cap)
+
+        def power(e):
+            return Series(a.n, a.trunc, {tuple(e if k == i else 0 for k in range(a.n)): rand_fraction(rng, nonzero=True)})
+
+        return a + power(j), b + power(cap - j)
+
+    def test_product_and_capped_product(self):
+        rng = random.Random(41)
+        for trial in range(240):
+            n, trunc = rng.randint(1, 8), rng.choice(TRUNCS)
+            numeric = trial % 3 != 0
+            a = rand_edge_series(rng, n, trunc, numeric)
+            b = rand_edge_series(rng, n, trunc, numeric)
+            full_a, full_b = self.meeting_at(rng, a, b, trunc)
+            assert full_a * full_b == cauchy_product(full_a, full_b, trunc)
+            cap = rng.randint(0, trunc - 1) if trunc > 1 else 0
+            cap_a, cap_b = self.meeting_at(rng, a, b, cap)
+            assert cap_a.mul_trunc(cap_b, cap) == cauchy_product(cap_a, cap_b, cap)
+
+    def test_pow_trunc(self):
+        rng = random.Random(42)
+        for trial in range(120):
+            n, trunc = rng.randint(1, 8), rng.choice(TRUNCS)
+            numeric = trial % 3 != 0
+            a = rand_edge_series(rng, n, trunc, numeric, max_terms=4)
+            constant = (0,) * n
+            if trial % 2:  # a nonzero numeric constant term: the degree recurrence
+                a = a - Series(n, trunc, {constant: a.coeff(constant)})
+                a = a + Series(n, trunc, {constant: rand_fraction(rng, nonzero=True)})
+            power = Series.one(n, trunc)
+            for k in range(5):
+                assert a.pow_trunc(k) == power, (a, k)
+                power = cauchy_product(power, a, trunc)
+
+    @staticmethod
+    def power_sums(u, trunc):
+        """(sum_j (-1)^(j+1) u^j / j, sum_j u^j / j!) with the powers of u by
+        `cauchy_product`."""
+        log_sum, exp_sum = Series.zero(u.n, trunc), Series.one(u.n, trunc)
+        power = Series.one(u.n, trunc)
+        for j in range(1, trunc + 1):
+            power = cauchy_product(power, u, trunc)
+            if power.is_zero():
+                break
+            log_sum = log_sum + power.scale(Fraction((-1) ** (j + 1), j))
+            exp_sum = exp_sum + power.scale(Fraction(1, factorial(j)))
+        return log_sum, exp_sum
+
+    def test_log1p_numerator_and_exp(self):
+        rng = random.Random(43)
+        for trial in range(60):
+            numeric = trial % 3 != 0
+            n = rng.randint(1, 8)
+            trunc = rng.choice(TRUNCS) if numeric else rng.choice(TRUNCS[:4])
+            u = rand_edge_series(rng, n, trunc, numeric, max_terms=2, constant=False)
+            u = u + Series.variable(n, trunc, rng.randint(1, n)).scale(rand_fraction(rng, nonzero=True))
+            log_sum, exp_sum = self.power_sums(u, trunc)
+            N, NL = log1p_numerator(u)
+            assert N == lcm(*range(1, trunc + 1))
+            assert NL == log_sum.scale(N)
+            assert series_exp(u) == exp_sum
 
 
 class TestLogExp:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -516,3 +517,27 @@ def test_sweep_refuses_a_truncation_below_its_floor(monkeypatch):
 def test_sweep_at_its_floor_decides_every_entry():
     report = sweep([2], 1, deg_cap=3, trunc=3)
     assert report.counts() == {"SOLVED": 2, "INFEASIBLE": 3, "UNRESOLVED": 0, "SHORTCUT": 0}
+
+
+def test_sweep_refuses_more_candidate_supports_than_its_cap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "enumerate_supports", lambda *args: calls.append(args) or [])
+    # 42 monomials of degree 2..8 in two variables: sum_{j <= 8} C(42, j)
+    assert solver.candidate_support_count(2, 8, 8) == sum(comb(42, j) for j in range(9)) > 10 ** 8
+    with pytest.raises(ValueError, match=f"dimension 2 has 151229281 candidate supports .* cap of {solver.MAX_CANDIDATE_SUPPORTS}"):
+        sweep([2], 8, deg_cap=8)
+    # the n = 7, k = 4, degree <= 4 sweep that once grew past 4 GB
+    with pytest.raises(ValueError, match=f"dimension 7 has {solver.candidate_support_count(7, 4, 4)} candidate"):
+        sweep([7], 4, deg_cap=4)
+    assert calls == []
+
+
+def test_candidate_support_cap_admits_the_documented_sweeps():
+    cap = solver.MAX_CANDIDATE_SUPPORTS
+    assert solver.candidate_support_count(6, 3, 4) == 1394408 <= cap
+    assert solver.candidate_support_count(8, 3, 3) == 632867 <= cap
+    solver.check_sweep_work(range(1, 7), 3, 4)
+    solver.check_sweep_work(range(1, 9), 3, 3)
+    # dimensions above 2 k_max are not enumerated, so they are not counted
+    solver.check_sweep_work([8], 2, 8)
+    assert solver.candidate_support_count(8, 3, 4) > cap
