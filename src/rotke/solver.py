@@ -57,10 +57,23 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintSystem:
+    """Equations in the unknowns, each = 0, with the unknowns of `positivity`
+    constrained to be > 0.
+
+    The equations are stored normalized (`CoefPoly.normalized`): the
+    constructor normalizes them, whoever builds the system.  So
+    `extract_constraints` and `GenericPrescreen.system` hand over raw
+    residual coefficients and each equation is normalized exactly once, and
+    `solve_system` reads them without normalizing again.
+    """
+
     unknowns: Tuple[Unknown, ...]
     equations: Tuple[CoefPoly, ...]
     positivity: frozenset
     residual_monomials: Tuple[MultiIndex, ...]  # provenance, one per equation
+
+    def __post_init__(self):
+        object.__setattr__(self, "equations", tuple(eq.normalized() for eq in self.equations))
 
 
 @dataclass(frozen=True)
@@ -101,14 +114,10 @@ def extract_constraints(spec: PotentialSpec, trunc: int) -> ConstraintSystem:
         raise ValueError(f"truncation {trunc} is below {min_truncation(spec)}, where the degree-{d} support first enters")
     P = build_potential(spec, max(trunc, d))
     _, qR = ma_log_residual_numerator(P, CoefPoly.var(EINSTEIN_NAME), trunc)
-    equations = []
-    monos = []
-    for m, coef in qR.sorted_terms():
-        equations.append(coef.normalized())
-        monos.append(m)
+    terms = qR.sorted_terms()
     unknowns = tuple(spec.unknowns()) + (EINSTEIN,)
     positivity = frozenset(u.name for u in unknowns)
-    return ConstraintSystem(unknowns, tuple(equations), positivity, tuple(monos))
+    return ConstraintSystem(unknowns, tuple(coef for _, coef in terms), positivity, tuple(m for m, _ in terms))
 
 
 def _generic_residual(n: int, d: int) -> Tuple[Tuple[MultiIndex, ...], Dict[Tuple[str, ...], Dict[int, dict]]]:
@@ -143,9 +152,10 @@ class GenericPrescreen:
     support unknowns all belong to the support.  Its equation at x^m merges
     the groups of `_generic_residual` at m over the subsets of its unknowns;
     the groups hold disjoint terms, so the merge is a union, and an equation
-    with no group vanishes and is dropped.  Normalizing then gives the same
-    `ConstraintSystem` as `extract_constraints`: the same equations in the
-    same order, with the same residual monomials.
+    with no group vanishes and is dropped.  `ConstraintSystem` normalizes
+    the merged equations, which gives the same system as
+    `extract_constraints`: the same equations in the same order, with the
+    same residual monomials.
 
     The generic residuals of one dimension are kept at a time, since a
     sweep hands out its tasks ordered by n: a new n drops them.
@@ -177,7 +187,7 @@ class GenericPrescreen:
         for idx in order:
             eq = CoefPoly.__new__(CoefPoly)
             eq.terms = merged[idx]
-            equations.append(eq.normalized())
+            equations.append(eq)
         positivity = frozenset(u.name for u in unknowns)
         return ConstraintSystem(unknowns, tuple(equations), positivity, tuple(monos[idx] for idx in order))
 
@@ -229,6 +239,19 @@ def _uni_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return a
 
 
+# Largest |constant| and |leading coefficient|, in the integral form of a
+# univariate equation, that the rational-root search takes on.  Its
+# candidates p/q pair the divisors of the two, found by trial division up to
+# the square root, so below the cap each costs at most 1,000 divisions and has
+# at most 240 divisors (720720).  On one core of a 2-core x86-64 sandbox
+# (Python 3.11) the worst case, both coefficients 720720 at degree 6, takes
+# 0.4 s, while unbounded trial division took 0.9 s at 10^14 and grows with
+# the square root.  The largest met in the pinned sweeps and in dims 1..6 at
+# deg-cap 3 is 12.  Above the cap the branch is left as a remnant, so the
+# outcome is UNRESOLVED and names the equations of the branch.
+MAX_ROOT_COEFFICIENT = 10**6
+
+
 def _divisors(v: int) -> List[int]:
     v = abs(v)
     out = set()
@@ -248,8 +271,11 @@ def _uni_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _rational_roots(coeffs: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
-    """All rational roots, plus the deflated (root-free) remainder polynomial."""
+def _rational_roots(coeffs: List[Fraction]) -> Optional[Tuple[List[Fraction], List[Fraction]]]:
+    """All rational roots, plus the deflated (root-free) remainder polynomial;
+    None when, once the roots at zero are divided out and the denominators
+    cleared, the constant or the leading coefficient exceeds
+    MAX_ROOT_COEFFICIENT in absolute value."""
     coeffs = _uni_trim(list(coeffs))
     if not coeffs:
         raise ValueError("zero polynomial has no root set")
@@ -265,6 +291,8 @@ def _rational_roots(coeffs: List[Fraction]) -> Tuple[List[Fraction], List[Fracti
     for c in coeffs:
         denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
     ints = [int(c * denom_lcm) for c in coeffs]
+    if max(abs(ints[0]), abs(ints[-1])) > MAX_ROOT_COEFFICIENT:
+        return None
     candidates = set()
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
@@ -303,6 +331,21 @@ def _eq_sort_key(eq: CoefPoly):
     return (len(eq.terms), eq.total_degree(), fraction_terms_repr(eq))
 
 
+def _sorted_equations(eqs: Iterable[CoefPoly]) -> List[CoefPoly]:
+    """Distinct equations sorted by `_eq_sort_key`, whose `repr` part is
+    built only for equations that tie on (term count, degree)."""
+    by_shape: Dict[Tuple[int, int], List[CoefPoly]] = {}
+    for eq in eqs:
+        by_shape.setdefault((len(eq.terms), eq.total_degree()), []).append(eq)
+    out: List[CoefPoly] = []
+    for shape in sorted(by_shape):
+        group = by_shape[shape]
+        if len(group) > 1:
+            group.sort(key=fraction_terms_repr)
+        out.extend(group)
+    return out
+
+
 def _linear_parts(eq: CoefPoly, name: str) -> Optional[Dict[int, CoefPoly]]:
     """eq.by_power(name) when name occurs to degree 1 with a constant coefficient."""
     if eq.degree_in(name) != 1:
@@ -323,9 +366,24 @@ class _Search:
 
     # -- simplification ------------------------------------------------------
 
-    def _clean(self, eqs: List[CoefPoly]):
-        """Normalize each equation; returns (equations, contradiction_witness)."""
+    def _clean(self, eqs: Iterable[CoefPoly], normalized: bool = False):
+        """Strip monomial factors in positive unknowns, normalize, drop zeros
+        and duplicates, and sort by `_eq_sort_key`; returns (equations,
+        contradiction_witness).
+
+        eqs is read lazily and in order, and the scan returns at the first
+        equation it rejects: a nonzero constant, or c * u^k once the factors
+        are stripped.  So after a linear step the equations behind the first
+        contradiction are never substituted, and nothing is normalized until
+        every equation has been read.  The witness is the first rejected
+        equation, as in an eager scan in the same order.
+
+        normalized=True says the equations are already normalized (those of
+        a `ConstraintSystem` and of `_gauss`); then only a stripped equation
+        is normalized, since stripping can change its leading term.
+        """
         out = set()
+        pending = []
         for eq in eqs:
             if eq.is_zero():
                 continue
@@ -337,9 +395,13 @@ class _Search:
                 if stripped.is_constant():
                     # c * u^k = 0 with u > 0 contradicts positivity
                     return [], eq.normalized()
-                eq = stripped
-            out.add(eq.normalized())
-        return sorted(out, key=_eq_sort_key), None
+                pending.append(stripped)
+            elif normalized:
+                out.add(eq)
+            else:
+                pending.append(eq)
+        out.update(eq.normalized() for eq in pending)
+        return _sorted_equations(out), None
 
     def _sign_infeasible(self, eq: CoefPoly) -> bool:
         """Positive combination of positive quantities cannot vanish."""
@@ -415,12 +477,19 @@ class _Search:
 
     # -- main recursion -------------------------------------------------------
 
-    def run(self, eqs: List[CoefPoly], bindings: List[Tuple[str, CoefPoly]], depth: int = 0):
+    def run(
+        self,
+        eqs: Iterable[CoefPoly],
+        bindings: List[Tuple[str, CoefPoly]],
+        depth: int = 0,
+        normalized: bool = False,
+    ):
+        """Decide the branch of eqs under bindings; normalized as in `_clean`."""
         if depth > _MAX_SEARCH_DEPTH:
             self.remnants.append(tuple(eqs))
             return
         while True:
-            eqs, contradiction = self._clean(eqs)
+            eqs, contradiction = self._clean(eqs, normalized)
             if contradiction is not None:
                 self.witnesses.append(contradiction)
                 return
@@ -438,11 +507,13 @@ class _Search:
                     self.witnesses.append(CoefPoly.var(name) - expr)
                     return
                 bindings = bindings + [(name, expr)]
-                eqs = [e.substitute({name: expr}) for e in rest]
+                binding = {name: expr}
+                # read lazily by the next `_clean`, which may stop early
+                eqs, normalized = (e.substitute(binding) for e in rest), False
                 continue
             reduced = self._gauss(eqs)
             if set(reduced) != set(eqs):
-                eqs = reduced
+                eqs, normalized = reduced, True
                 continue
             if self._univariate_step(eqs, bindings, depth):
                 return
@@ -509,7 +580,12 @@ class _Search:
             # no common root: the univariate equations are incompatible
             self.witnesses.append(_uni_to_poly(name, groups[name][0]))
             return True
-        roots, residue = _rational_roots(g)
+        found = _rational_roots(g)
+        if found is None:
+            # too large for the root search: the branch stays undecided
+            self.remnants.append(tuple(eqs))
+            return True
+        roots, residue = found
         feasible = [r for r in roots if (r > 0 if name in self.positivity else True)]
         irrational_risk = len(residue) > 1 and _descartes_positive(residue) > 0
         for r in feasible:
@@ -529,7 +605,7 @@ def solve_system(system: ConstraintSystem) -> SolveOutcome:
     outcomes carry a witness equation that contradicts positivity.
     """
     search = _Search(system)
-    search.run(list(system.equations), [])
+    search.run(system.equations, [], normalized=True)
     solutions = tuple(sorted(set(search.solutions)))
     if search.remnants:
         return SolveOutcome("UNRESOLVED", solutions, None, tuple(search.remnants))
@@ -725,44 +801,10 @@ class ClassificationReport:
         )
 
 
-def _solve_one_spec(args, prescreen: Optional[GenericPrescreen] = None) -> SweepEntry:
-    """Decide one support at truncation trunc, after cheap prescreens.
-
-    A prescreen solves the system at t = d - 1, then at t = d + 1 (d = deg_x
-    P), each only when 2 <= t < trunc, and stops at the first INFEASIBLE.
-    The lowest allowed truncation d - 1 is where every unknown first appears
-    (`extract_constraints`).  Quadratic and empty supports skip it: t = 1
-    holds only the linear block, and on the quadratic supports at n = 3..5
-    it left 11 of 39 entries undecided or with another witness than t = 3.
-
-    The t = d - 1 system is read off the generic residual of (n, d) kept by
-    `prescreen` (`GenericPrescreen`), which `sweep` creates once per call
-    and, with several jobs, once per worker; without one, a private one is
-    made for this support.  The t = d + 1 tier and the final truncation call
-    `extract_constraints`.
-    """
-    n, k, support, trunc = args
-    spec = PotentialSpec.symbolic(n, support)
-    # the equations at t are the degree <= t subset of the full system, so
-    # INFEASIBLE transfers
-    d = spec.max_degree()
-    for pre_trunc in (d - 1, d + 1):
-        if 2 <= pre_trunc < trunc:
-            if pre_trunc == d - 1:
-                prescreen = prescreen or GenericPrescreen()
-                system = prescreen.system(spec)
-            else:
-                system = extract_constraints(spec, pre_trunc)
-            pre = solve_system(system)
-            if pre.status == "INFEASIBLE":
-                return SweepEntry(n, k, support, "INFEASIBLE", (), repr(pre.witness), "prescreen")
-    system = extract_constraints(spec, trunc)
-    outcome = solve_system(system)
-    if outcome.status == "INFEASIBLE":
-        return SweepEntry(n, k, support, "INFEASIBLE", (), repr(outcome.witness))
-    if outcome.status == "UNRESOLVED":
-        note = "; ".join(repr(r) for r in outcome.remnants)
-        return SweepEntry(n, k, support, "UNRESOLVED", (), None, note)
+def _certified_entry(n: int, k: int, support, spec: PotentialSpec, outcome: SolveOutcome) -> SweepEntry:
+    """The entry of a SOLVED outcome: SOLVED with every solution certified
+    exactly and classified, or UNRESOLVED at the first solution whose
+    certificate FAILs."""
     solutions = []
     for sol in outcome.solutions:
         values = dict(sol)
@@ -779,6 +821,65 @@ def _solve_one_spec(args, prescreen: Optional[GenericPrescreen] = None) -> Sweep
         tag = classify(numeric, lam)
         solutions.append(SweepSolution(sol, lam, tag, cert.status))
     return SweepEntry(n, k, support, "SOLVED", tuple(solutions))
+
+
+def _solve_one_spec(args, prescreen: Optional[GenericPrescreen] = None) -> SweepEntry:
+    """Decide one support at truncation trunc, after cheap prescreens.
+
+    A prescreen solves the system at t = d - 1, then at t = d + 1 (d = deg_x
+    P), each only when 2 <= t < trunc.  The lowest allowed truncation d - 1
+    is where every unknown first appears (`extract_constraints`).  Quadratic
+    and empty supports skip it: t = 1 holds only the linear block, and on the
+    quadratic supports at n = 3..5 it left 11 of 39 entries undecided or with
+    another witness than t = 3.
+
+    A tier ends the climb when it proves the verdict:
+
+    - INFEASIBLE: the equations at t are the degree <= t subset of those at
+      trunc, so no solution survives at trunc either.
+    - SOLVED, with every solution PASSing `certify_exact`: write S_t for
+      the tier's solution set and T for the true solutions.  The equations
+      at trunc include those at t, so T <= S_trunc <= S_t; a PASS point is a
+      true solution (the certificate is exact both ways), so S_t <= T and
+      the three sets are equal.  The entry is the one the final truncation
+      would write, note "" included.  The only verdict this can change is a
+      final UNRESOLVED (a remnant the solver cannot decide at trunc) that
+      becomes this certified SOLVED; no pinned sweep has such an entry.
+
+    A tier that is UNRESOLVED, or SOLVED with a FAIL among its solutions,
+    goes on to the next tier or trunc, where a FAIL leaves the entry
+    UNRESOLVED.  `_certified_entry` certifies and classifies at both places.
+
+    The t = d - 1 system is read off the generic residual of (n, d) kept by
+    `prescreen` (`GenericPrescreen`), which `sweep` creates once per call
+    and, with several jobs, once per worker; without one, a private one is
+    made for this support.  The t = d + 1 tier and the final truncation call
+    `extract_constraints`.
+    """
+    n, k, support, trunc = args
+    spec = PotentialSpec.symbolic(n, support)
+    d = spec.max_degree()
+    for pre_trunc in (d - 1, d + 1):
+        if 2 <= pre_trunc < trunc:
+            if pre_trunc == d - 1:
+                prescreen = prescreen or GenericPrescreen()
+                system = prescreen.system(spec)
+            else:
+                system = extract_constraints(spec, pre_trunc)
+            pre = solve_system(system)
+            if pre.status == "INFEASIBLE":
+                return SweepEntry(n, k, support, "INFEASIBLE", (), repr(pre.witness), "prescreen")
+            if pre.status == "SOLVED":
+                entry = _certified_entry(n, k, support, spec, pre)
+                if entry.status == "SOLVED":
+                    return entry
+    outcome = solve_system(extract_constraints(spec, trunc))
+    if outcome.status == "INFEASIBLE":
+        return SweepEntry(n, k, support, "INFEASIBLE", (), repr(outcome.witness))
+    if outcome.status == "UNRESOLVED":
+        note = "; ".join(repr(r) for r in outcome.remnants)
+        return SweepEntry(n, k, support, "UNRESOLVED", (), None, note)
+    return _certified_entry(n, k, support, spec, outcome)
 
 
 def sweep_min_truncation(dims: Iterable[int], k_max: int, deg_cap: int) -> int:

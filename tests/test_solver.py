@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -353,14 +354,66 @@ class TestSweep:
         assert sol.tag == "CPn_unit"
         assert sol.certificate == "PASS"
 
+    @staticmethod
+    def spy_truncations(monkeypatch):
+        """The truncations `_solve_one_spec` passes to `extract_constraints`."""
+        calls = []
+        real = solver.extract_constraints
+
+        def spy(spec, trunc):
+            calls.append(trunc)
+            return real(spec, trunc)
+
+        monkeypatch.setattr(solver, "extract_constraints", spy)
+        return calls
+
+    def test_certified_solved_tier_ends_the_climb(self, monkeypatch):
+        calls = self.spy_truncations(monkeypatch)
+        entry = solver._solve_one_spec((2, 1, ((1, 1),), 4))  # Segre, lambda = 4
+        assert calls == [3]  # the t = deg P + 1 tier, and no call at trunc
+        assert (entry.status, entry.witness, entry.note) == ("SOLVED", None, "")
+        [sol] = entry.solutions
+        assert (sol.lam, sol.tag, sol.certificate) == (4, "ProductOfLines", "PASS")
+
+    def test_failed_tier_certificate_falls_through_to_trunc(self, monkeypatch):
+        real = solver.certify_exact
+        certified = []
+
+        def fail_first(cand):
+            certified.append(cand.lam)
+            if len(certified) == 1:
+                return Certificate("FAIL", cand.lam, "det(B)^1 = P^1", "", "", (1, 0))
+            return real(cand)
+
+        calls = self.spy_truncations(monkeypatch)
+        monkeypatch.setattr(solver, "certify_exact", fail_first)
+        entry = solver._solve_one_spec((2, 1, ((1, 1),), 4))
+        assert calls == [3, 4] and certified == [4, 4]
+        assert (entry.status, entry.note) == ("SOLVED", "")
+        # the same entry as when the tier's certificate passes
+        assert entry == solver._solve_one_spec((2, 1, ((1, 1),), 4))
+
     def test_failed_certificate_leaves_solution_unresolved(self, monkeypatch):
         def fail(cand):
             return Certificate("FAIL", cand.lam, "det(B)^1 = P^1", "", "", (1, 0))
 
+        calls = self.spy_truncations(monkeypatch)
         monkeypatch.setattr(solver, "certify_exact", fail)
         entry = solver._solve_one_spec((2, 1, ((1, 1),), 4))  # Segre, lambda = 4
+        assert calls == [3, 4]
         assert (entry.status, entry.solutions) == ("UNRESOLVED", ())
         assert entry.note.startswith("certificate failed for ")
+
+    def test_certified_tier_solutions_equal_those_at_trunc(self, monkeypatch):
+        calls = self.spy_truncations(monkeypatch)
+        report = sweep(range(1, 7), 3, deg_cap=3)
+        solved = [e for e in report.entries if e.status == "SOLVED"]
+        assert len(solved) == 10
+        assert report.trunc not in calls  # every SOLVED entry ended at a tier
+        for e in solved:
+            # the test's extract_constraints is the library's, not the spy
+            ref = solve_system(extract_constraints(PotentialSpec.symbolic(e.n, e.support), report.trunc))
+            assert (ref.status, ref.solutions) == ("SOLVED", tuple(s.assignment for s in e.solutions)), e
 
     def test_n2_quadratic_matches_known_models(self):
         report = sweep([2], 3, deg_cap=2)
@@ -397,6 +450,158 @@ class TestSweep:
         assert statuses == ["SHORTCUT", "SHORTCUT", "SOLVED"]
         solved = [e for e in report.entries if e.status == "SOLVED"]
         assert solved[0].solutions[0].tag == "CPn_unit"
+
+
+class EagerSearch(solver._Search):
+    """The search as it was before `_clean` read its input lazily: every
+    equation is substituted into, normalized and sorted before the first
+    contradiction is read.  The reference `solve_system` is compared with."""
+
+    def _clean(self, eqs, normalized=False):
+        out = set()
+        for eq in eqs:
+            if eq.is_zero():
+                continue
+            if eq.is_constant():
+                return [], eq
+            mono = tuple((nm, e) for nm, e in eq.common_monomial() if nm in self.positivity)
+            if mono:
+                stripped = eq.divide_monomial(mono)
+                if stripped.is_constant():
+                    return [], eq.normalized()
+                eq = stripped
+            out.add(eq.normalized())
+        return sorted(out, key=_eq_sort_key), None
+
+    def run(self, eqs, bindings, depth=0, normalized=False):
+        if depth > solver._MAX_SEARCH_DEPTH:
+            self.remnants.append(tuple(eqs))
+            return
+        while True:
+            eqs, contradiction = self._clean(eqs)
+            if contradiction is not None:
+                self.witnesses.append(contradiction)
+                return
+            if not eqs:
+                self._leaf(bindings, [])
+                return
+            for eq in eqs:
+                if self._sign_infeasible(eq):
+                    self.witnesses.append(eq)
+                    return
+            step = self._linear_step(eqs)
+            if step is not None:
+                name, expr, rest = step
+                if name in self.positivity and expr.is_constant() and expr.constant_value() <= 0:
+                    self.witnesses.append(CoefPoly.var(name) - expr)
+                    return
+                bindings = bindings + [(name, expr)]
+                eqs = [e.substitute({name: expr}) for e in rest]
+                continue
+            reduced = self._gauss(eqs)
+            if set(reduced) != set(eqs):
+                eqs = reduced
+                continue
+            if self._univariate_step(eqs, bindings, depth):
+                return
+            self.remnants.append(tuple(eqs))
+            return
+
+
+def eager_outcome(system):
+    search = EagerSearch(system)
+    search.run(list(system.equations), [])
+    solutions = tuple(sorted(set(search.solutions)))
+    if search.remnants:
+        return solver.SolveOutcome("UNRESOLVED", solutions, None, tuple(search.remnants))
+    if solutions:
+        return solver.SolveOutcome("SOLVED", solutions)
+    return solver.SolveOutcome("INFEASIBLE", (), min(search.witnesses, key=_eq_sort_key, default=None))
+
+
+def outcome_key(outcome):
+    return outcome.status, outcome.solutions, repr(outcome.witness), outcome.remnants, repr(outcome.remnants)
+
+
+@pytest.mark.parametrize("dims, deg_cap", [(range(2, 8), 2), (range(2, 6), 3), (range(2, 5), 4)])
+def test_lazy_search_equals_the_eager_reference(monkeypatch, dims, deg_cap):
+    # every system the sweep solves: the prescreen tiers and the final truncation
+    seen = []
+    real = solver.solve_system
+
+    def spy(system):
+        outcome = real(system)
+        seen.append((system, outcome))
+        return outcome
+
+    monkeypatch.setattr(solver, "solve_system", spy)
+    sweep(dims, 3, deg_cap=deg_cap)
+    assert len(seen) > 50
+    assert {o.status for _, o in seen} >= {"SOLVED", "INFEASIBLE"}
+    for system, outcome in seen:
+        assert outcome_key(outcome) == outcome_key(eager_outcome(system)), system.unknowns
+
+
+def test_hand_built_system_is_normalized():
+    # rescaled equations give the normalized system and the same outcome
+    cases = [(2, ((1, 1),), 3, "SOLVED"), (2, ((1, 1), (0, 3)), 2, "INFEASIBLE"), (1, ((2,), (3,), (4,)), 3, "UNRESOLVED")]
+    for n, support, t, status in cases:
+        system = extract_constraints(PotentialSpec.symbolic(n, support), t)
+        scaled = tuple(eq.scale(Fraction(-(i + 2), 3)) for i, eq in enumerate(system.equations))
+        assert any(eq != eq.normalized() for eq in scaled)
+        hand = solver.ConstraintSystem(system.unknowns, scaled, system.positivity, system.residual_monomials)
+        assert hand.equations == system.equations
+        outcome = solve_system(hand)
+        assert outcome.status == status
+        assert outcome_key(outcome) == outcome_key(solve_system(system))
+        assert outcome_key(outcome) == outcome_key(eager_outcome(hand))
+
+
+def test_stripped_equation_is_normalized_again():
+    # a^2 c - a b^2 is normalized, but stripping a makes -b^2 its leading term
+    a, b, c = (support_unknown((e,)) for e in (2, 3, 4))
+    A, B, C = (CoefPoly.var(u.name) for u in (a, b, c))
+    eq = A * A * C - A * B * B
+    assert eq == eq.normalized()
+    system = solver.ConstraintSystem((a, b, c), (eq,), frozenset(u.name for u in (a, b, c)), ((0,),))
+    outcome = solve_system(system)
+    assert (outcome.status, outcome.remnants) == ("UNRESOLVED", ((B * B - A * C,),))
+    assert outcome_key(outcome) == outcome_key(eager_outcome(system))
+    # the witness sign follows the sign normalizing gives a stripped
+    # equation, in the first round (from the system) and in later ones
+    L = CoefPoly.var(EINSTEIN_NAME)
+    cases = [
+        ((A * A * L - A * B * B * 2 - A * A * B * 2, A * 3 + A * L * 2 - A * B * L * 2 + A * B * B, A * L - A * B), A + B * 2),
+        ((A * A * B * L - A * B * B * L, A * A * 3 - A * A * B * 2 + A * A * A * 2), CoefPoly.const(-3)),
+    ]
+    for eqs, witness in cases:
+        system = solver.ConstraintSystem((a, b, solver.EINSTEIN), eqs, frozenset({a.name, b.name, EINSTEIN_NAME}), ((0,),) * len(eqs))
+        outcome = solve_system(system)
+        assert (outcome.status, repr(outcome.witness)) == ("INFEASIBLE", repr(witness))
+        assert outcome_key(outcome) == outcome_key(eager_outcome(system))
+
+
+def univariate_system(*terms):
+    """a(2) > 0 and one equation sum c * a(2)^e over (c, e) in terms."""
+    a = uname((2,))
+    eq = sum((CoefPoly.var(a) ** e * c for c, e in terms), CoefPoly())
+    return solver.ConstraintSystem((support_unknown((2,)),), (eq,), frozenset({a}), ((0,),)), eq
+
+
+def test_rational_root_search_is_bounded():
+    cap = solver.MAX_ROOT_COEFFICIENT
+    system, eq = univariate_system((1, 2), (-(10**14 + 31), 0))
+    t0 = time.perf_counter()
+    outcome = solve_system(system)
+    assert time.perf_counter() - t0 < 0.1
+    assert (outcome.status, outcome.remnants) == ("UNRESOLVED", ((eq,),))
+    assert "-100000000000031 + a(2)^2" in repr(outcome.remnants)
+    # at the cap the search runs; just above it a rational root is not searched for
+    assert solve_system(univariate_system((1, 2), (-cap, 0))[0]).solution_dicts() == [{uname((2,)): 1000}]
+    assert solve_system(univariate_system((1, 2), (-1001**2, 0))[0]).status == "UNRESOLVED"
+    # the leading coefficient is bounded too
+    assert solve_system(univariate_system((4 * cap, 2), (-1, 0))[0]).status == "UNRESOLVED"
+    assert solve_system(univariate_system((cap, 2), (-1, 0))[0]).solution_dicts() == [{uname((2,)): Fraction(1, 1000)}]
 
 
 def test_equation_order_ignores_coefficient_type():

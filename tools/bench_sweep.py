@@ -12,8 +12,9 @@ acceptance sweep is sweep(range(2, 7), 3, deg_cap=3).  A row holds:
   the per-n runs together do the work of the whole sweep);
 - ``layers``: calls, inclusive and self seconds per layer, from one traced
   run of the whole sweep with perfbench/tracing.Tracer.  The layers are
-  enumerate_supports, building P, det_numerator, the log1p residual,
-  solve_system, certify_exact and classify; where the program has
+  enumerate_supports, extract_constraints (the systems read per support
+  rather than off a generic residual), building P, det_numerator, the log1p
+  residual, solve_system, certify_exact and classify; where the program has
   ``log1p_numerator`` (the integral log1p kernel) it is traced as well, so
   the log layer is the self time of both log spans, and where it has
   ``solver._generic_residual`` (the generic prescreen residual of one
@@ -61,6 +62,7 @@ DEG_CAP_SECOND = 4
 LAYERS = (
     "solver.enumerate_supports",
     "solver._generic_residual",
+    "solver.extract_constraints",
     "geometry.build_potential",
     "geometry.det_numerator",
     "series.series_log1p",
