@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .oracle import ORACLE_MAX_DIMENSION, rotation_project, zspace_det_numerator
 from .reports import SpecFileError, load_json
-from .solver import EngineError, check_sweep_work, extract_constraints, min_truncation, sweep, sweep_min_truncation
+from .solver import EngineError, check_sweep_work, extract_constraints, min_truncation, sweep
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_dims_arg, required=True, metavar="A..B")
     p.add_argument("--max-codim", type=int, default=3, metavar="K")
     p.add_argument("--deg-cap", type=int, default=None, metavar="C")
-    p.add_argument("--degree", type=int, default=None, metavar="D", help="residual truncation degree")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes, at most the number of CPUs")
 
@@ -208,10 +207,6 @@ def cmd_sweep(args) -> int:
     if args.deg_cap is not None and args.deg_cap < 2:
         raise _Usage("--deg-cap must be >= 2")
     deg_cap = args.deg_cap if args.deg_cap is not None else max(args.max_codim, 2)
-    if args.degree is not None:
-        floor = sweep_min_truncation(range(a, b + 1), args.max_codim, deg_cap)
-        if args.degree < floor:
-            raise _Usage(f"--degree must be >= {floor} for these options")
     try:
         check_sweep_work(range(a, b + 1), args.max_codim, deg_cap)
     except ValueError as exc:
@@ -222,7 +217,6 @@ def cmd_sweep(args) -> int:
         range(a, b + 1),
         args.max_codim,
         deg_cap=args.deg_cap,
-        trunc=args.degree,
         jobs=min(args.jobs, os.cpu_count() or 1),
     )
     payload = reports.sweep_payload(report)

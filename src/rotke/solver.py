@@ -824,74 +824,34 @@ def _certified_entry(n: int, k: int, support, spec: PotentialSpec, outcome: Solv
 
 
 def _solve_one_spec(args, prescreen: Optional[GenericPrescreen] = None) -> SweepEntry:
-    """Decide one support at truncation trunc, after cheap prescreens.
+    """Decide one support from its equations of degree <= t, for t from
+    d - 1 up to top (d = deg_x P; every unknown enters at d - 1, and for
+    d <= 2 the climb starts at d + 1, as t = 1 holds only the linear block).
+    A level ends the climb when it proves the verdict:
 
-    A prescreen solves the system at t = d - 1, then at t = d + 1 (d = deg_x
-    P), each only when 2 <= t < trunc.  The lowest allowed truncation d - 1
-    is where every unknown first appears (`extract_constraints`).  Quadratic
-    and empty supports skip it: t = 1 holds only the linear block, and on the
-    quadratic supports at n = 3..5 it left 11 of 39 entries undecided or with
-    another witness than t = 3.
+    - INFEASIBLE: the equations at t are those of degree <= t at every
+      larger truncation, so the verdict transfers upward.
+    - SOLVED, every solution PASSing `certify_exact`: with T the true
+      solutions and S_t the level's, T <= S_top <= S_t, and a PASS point is
+      a true solution (the certificate is exact both ways), so S_t <= T and
+      the three sets are equal.
 
-    A tier ends the climb when it proves the verdict:
-
-    - INFEASIBLE: the equations at t are the degree <= t subset of those at
-      trunc, so no solution survives at trunc either.
-    - SOLVED, with every solution PASSing `certify_exact`: write S_t for
-      the tier's solution set and T for the true solutions.  The equations
-      at trunc include those at t, so T <= S_trunc <= S_t; a PASS point is a
-      true solution (the certificate is exact both ways), so S_t <= T and
-      the three sets are equal.  The entry is the one the final truncation
-      would write, note "" included.  The only verdict this can change is a
-      final UNRESOLVED (a remnant the solver cannot decide at trunc) that
-      becomes this certified SOLVED; no pinned sweep has such an entry.
-
-    A tier that is UNRESOLVED, or SOLVED with a FAIL among its solutions,
-    goes on to the next tier or trunc, where a FAIL leaves the entry
-    UNRESOLVED.  `_certified_entry` certifies and classifies at both places.
-
-    The t = d - 1 system is read off the generic residual of (n, d) kept by
-    `prescreen` (`GenericPrescreen`), which `sweep` creates once per call
-    and, with several jobs, once per worker; without one, a private one is
-    made for this support.  The t = d + 1 tier and the final truncation call
-    `extract_constraints`.
+    Anything else goes on to t + 1, and at top it is the entry.  The
+    t = d - 1 system is read off `prescreen` (`GenericPrescreen`).
     """
-    n, k, support, trunc = args
+    n, k, support, top = args
     spec = PotentialSpec.symbolic(n, support)
     d = spec.max_degree()
-    for pre_trunc in (d - 1, d + 1):
-        if 2 <= pre_trunc < trunc:
-            if pre_trunc == d - 1:
-                prescreen = prescreen or GenericPrescreen()
-                system = prescreen.system(spec)
-            else:
-                system = extract_constraints(spec, pre_trunc)
-            pre = solve_system(system)
-            if pre.status == "INFEASIBLE":
-                return SweepEntry(n, k, support, "INFEASIBLE", (), repr(pre.witness), "prescreen")
-            if pre.status == "SOLVED":
-                entry = _certified_entry(n, k, support, spec, pre)
-                if entry.status == "SOLVED":
-                    return entry
-    outcome = solve_system(extract_constraints(spec, trunc))
-    if outcome.status == "INFEASIBLE":
-        return SweepEntry(n, k, support, "INFEASIBLE", (), repr(outcome.witness))
-    if outcome.status == "UNRESOLVED":
-        note = "; ".join(repr(r) for r in outcome.remnants)
-        return SweepEntry(n, k, support, "UNRESOLVED", (), None, note)
-    return _certified_entry(n, k, support, spec, outcome)
-
-
-def sweep_min_truncation(dims: Iterable[int], k_max: int, deg_cap: int) -> int:
-    """The least trunc `sweep` accepts: the largest `min_truncation` of the
-    supports it enumerates.
-
-    Supports are enumerated only in the dimensions n <= 2 k_max, and then
-    one of codimension max(1, ceil(n / 2)) <= k_max holds a monomial of
-    degree deg_cap, so the floor is deg_cap - 1; otherwise only the empty
-    support is solved, whose floor is 1.
-    """
-    return max(deg_cap - 1, 1) if k_max >= 1 and min(dims) <= 2 * k_max else 1
+    for t in range(d - 1 if d >= 3 else d + 1, top + 1):
+        system = (prescreen or GenericPrescreen()).system(spec) if t == d - 1 else extract_constraints(spec, t)
+        outcome = solve_system(system)
+        if outcome.status == "INFEASIBLE":
+            return SweepEntry(n, k, support, "INFEASIBLE", (), repr(outcome.witness), "prescreen" if t < top else "")
+        if outcome.status == "SOLVED":
+            entry = _certified_entry(n, k, support, spec, outcome)
+            if entry.status == "SOLVED" or t == top:
+                return entry
+    return SweepEntry(n, k, support, "UNRESOLVED", (), None, "; ".join(map(repr, outcome.remnants)))
 
 
 # Most candidate supports `sweep` may face in one dimension.  Orderly
@@ -905,6 +865,14 @@ def sweep_min_truncation(dims: Iterable[int], k_max: int, deg_cap: int) -> int:
 MAX_CANDIDATE_SUPPORTS = 2_000_000
 
 
+# Largest deg_cap `sweep` takes when it enumerates a dimension: the climb's
+# top deg_cap + 2 and each generic residual grow with it.  On one core of a
+# 2-core x86-64 sandbox (Python 3.11) the largest admitted generic build,
+# (4, 6), takes 1.2 s ((4, 7) 4.8 s); the slowest admitted sweep measured,
+# dims 2..2 with k_max 6 at the cap, 107 s, set by its 245,506 candidates.
+MAX_SWEEP_DEG_CAP = 6
+
+
 def candidate_support_count(n: int, k_max: int, deg_cap: int) -> int:
     """sum_{j <= k_max} C(M_n, j), M_n the number of monomials of degree
     2..deg_cap in n variables: the supports of size <= k_max before the
@@ -915,16 +883,18 @@ def candidate_support_count(n: int, k_max: int, deg_cap: int) -> int:
 
 def check_sweep_work(dims: Iterable[int], k_max: int, deg_cap: int) -> None:
     """Raise ValueError when a dimension that `sweep` enumerates (n <= 2 k_max)
-    has more than MAX_CANDIDATE_SUPPORTS candidate supports."""
-    for n in sorted(set(dims)):
-        if n > 2 * k_max:
-            continue
+    has more than MAX_CANDIDATE_SUPPORTS candidate supports, or, when any is
+    enumerated, deg_cap exceeds MAX_SWEEP_DEG_CAP."""
+    enumerated = [n for n in sorted(set(dims)) if n <= 2 * k_max]
+    for n in enumerated:
         count = candidate_support_count(n, k_max, deg_cap)
         if count > MAX_CANDIDATE_SUPPORTS:
             raise ValueError(
                 f"dimension {n} has {count} candidate supports of size <= {k_max} and degree <= {deg_cap}, "
                 f"more than the cap of {MAX_CANDIDATE_SUPPORTS}"
             )
+    if enumerated and deg_cap > MAX_SWEEP_DEG_CAP:
+        raise ValueError(f"degree cap {deg_cap} is above the cap of {MAX_SWEEP_DEG_CAP} for an enumerated dimension")
 
 
 _worker_prescreen: Optional[GenericPrescreen] = None
@@ -944,39 +914,34 @@ def sweep(
     dims: Iterable[int],
     k_max: int,
     deg_cap: Optional[int] = None,
-    trunc: Optional[int] = None,
     jobs: int = 1,
 ) -> ClassificationReport:
     """Enumerate, extract, solve, certify, and classify over a dimension range.
 
     Completeness is only claimed up to deg_cap (default max(k_max, 2)); for
     n > 2k the enumeration for codimension k is skipped and the totally
-    geodesic entry recorded directly.  A trunc below `sweep_min_truncation`,
-    or more candidate supports in one dimension than MAX_CANDIDATE_SUPPORTS
-    (`check_sweep_work`), raises ValueError before any work.  Output is
-    deterministic and independent of the worker count.
+    geodesic entry recorded directly.  Each support climbs to t = deg_cap +
+    2, the report's `trunc` (`_solve_one_spec`).  A deg_cap below 2, or more
+    work than `check_sweep_work` admits, raises ValueError before any work.
+    Output is deterministic and independent of the worker count.
 
-    The t = deg P - 1 prescreens read one generic residual per (n, deg P)
-    (`GenericPrescreen`).  Its cache lives for this call only: with one job
-    it is created here and dropped on return, so a second call builds it
-    again; with several jobs each worker process builds its own.  Tasks are
-    ordered by n, so it holds one dimension at a time.
+    The t = deg P - 1 levels read one generic residual per (n, deg P)
+    (`GenericPrescreen`), cached for this call only: with one job it is
+    created here, and with several each worker process builds its own.
     """
     dims = sorted(set(dims))
     if not dims or dims[0] < 1 or dims[-1] > MAX_DIMENSION:
         raise ValueError(f"dimensions must lie in 1..{MAX_DIMENSION}")
     if deg_cap is None:
         deg_cap = max(k_max, 2)
-    if trunc is None:
-        trunc = deg_cap + 2
-    floor = sweep_min_truncation(dims, k_max, deg_cap)
-    if trunc < floor:
-        raise ValueError(f"truncation {trunc} is below {floor}, the least at which every support of this sweep enters")
+    if deg_cap < 2:
+        raise ValueError("deg_cap must be >= 2")
     check_sweep_work(dims, k_max, deg_cap)
+    top = deg_cap + 2
     tasks = []
     shortcut_entries = []
     for n in dims:
-        tasks.append((n, 0, (), trunc))
+        tasks.append((n, 0, (), top))
         shortcut_entries += [
             SweepEntry(n, k, (), "SHORTCUT", (), None, f"n > 2k: only the totally geodesic CP^{n}")
             for k in range(1, k_max + 1)
@@ -985,7 +950,7 @@ def sweep(
         if n <= 2 * k_max:  # otherwise every k >= 1 is a SHORTCUT
             for spec in enumerate_supports(n, k_max, deg_cap):
                 if n <= 2 * spec.codimension:  # k = 0 is the task above
-                    tasks.append((n, spec.codimension, tuple(m for m, _ in spec.support), trunc))
+                    tasks.append((n, spec.codimension, tuple(m for m, _ in spec.support), top))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -996,4 +961,4 @@ def sweep(
         entries = [_solve_one_spec(t, prescreen) for t in tasks]
     entries.extend(shortcut_entries)
     entries.sort(key=SweepEntry.sort_key)
-    return ClassificationReport((dims[0], dims[-1]), k_max, deg_cap, trunc, tuple(entries))
+    return ClassificationReport((dims[0], dims[-1]), k_max, deg_cap, top, tuple(entries))

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from math import comb
 
@@ -11,7 +12,7 @@ from rotke import PotentialSpec
 from rotke.algebra import monomials_up_to
 from rotke.cli import main
 from rotke.reports import SpecFileError, emit_spec, parse_potential, parse_spec
-from rotke.solver import MAX_CANDIDATE_SUPPORTS, ClassificationReport
+from rotke.solver import MAX_CANDIDATE_SUPPORTS, MAX_SWEEP_DEG_CAP, ClassificationReport
 
 from conftest import rand_spec
 
@@ -327,20 +328,18 @@ class TestSweepCommand:
     @pytest.mark.parametrize("argv,message", [
         (["--dims", "2..9"], "--dims must lie in 1..8"),
         (["--dims", "2..2", "--deg-cap", "1"], "--deg-cap must be >= 2"),
-        (["--dims", "2..2", "--max-codim", "1", "--deg-cap", "4", "--degree", "2"], "--degree must be >= 3"),
     ])
     def test_out_of_range_options_are_usage_errors(self, argv, message, capsys):
         assert main(["sweep", *argv]) == 2
         assert message in capsys.readouterr().err
 
-    def test_degree_floor_is_the_library_floor(self, tmp_path, capsys):
-        # cubic supports enter at degree 2, so 3 is allowed and 1 is not
-        out = tmp_path / "sweep.json"
-        argv = ["sweep", "--dims", "2..2", "--max-codim", "1", "--deg-cap", "3", "--format", "json"]
-        assert main([*argv, "--degree", "3", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["counts"] == {"INFEASIBLE": 3, "SHORTCUT": 0, "SOLVED": 2, "UNRESOLVED": 0}
-        assert main([*argv, "--degree", "1"]) == 2
-        assert "--degree must be >= 2" in capsys.readouterr().err
+    def test_degree_is_not_a_sweep_option(self, monkeypatch, capsys):
+        # each support climbs its own truncation; there is no knob to set it
+        monkeypatch.setattr(rotke.cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dims", "2..2", "--max-codim", "1", "--deg-cap", "3", "--degree", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --degree 3" in capsys.readouterr().err
 
     def test_too_many_candidate_supports_is_a_usage_error(self, monkeypatch, capsys):
         monkeypatch.setattr(rotke.cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
@@ -352,10 +351,21 @@ class TestSweepCommand:
         assert main(["sweep", "--dims", "2..2", "--max-codim", "8"]) == 2
         assert "degree <= 8" in capsys.readouterr().err
 
+    def test_degree_cap_above_its_cap_is_a_usage_error(self, capsys):
+        # without the cap this was still running after 120 s
+        start = time.perf_counter()
+        assert main(["sweep", "--dims", "1..1", "--max-codim", "1", "--deg-cap", "40"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert f"degree cap 40 is above the cap of {MAX_SWEEP_DEG_CAP}" in err
+        assert "lower --max-codim or --deg-cap" in err
+        # a dimension above 2k is not enumerated, so its degree is not capped
+        assert main(["sweep", "--dims", "3..3", "--max-codim", "1", "--deg-cap", "40"]) == 0
+
     def test_jobs_capped_at_cpu_count(self, monkeypatch, capsys):
         seen = []
 
-        def fake_sweep(dims, k_max, deg_cap=None, trunc=None, jobs=1):
+        def fake_sweep(dims, k_max, deg_cap=None, jobs=1):
             seen.append(jobs)
             return ClassificationReport((2, 2), k_max, 2, 4, ())
 
@@ -378,7 +388,6 @@ class TestDegreeCap:
         ("induced", LINE, []),
         ("normalize", LINE, []),
         ("constraints", SYMBOLIC, []),
-        ("sweep", None, ["--dims", "2..2", "--max-codim", "1"]),
     ])
     def test_degree_above_cap_is_usage_error(self, command, payload, extra, tmp_path, capsys):
         spec = ["--spec", write(tmp_path, "s.json", payload)] if payload else []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -33,7 +34,8 @@ from rotke.algebra import (
 )
 from rotke.geometry import Certificate
 from rotke.oracle import mi_permute
-from rotke.solver import _eq_sort_key
+from rotke.reports import render_json, sweep_payload
+from rotke.solver import SolveOutcome, _eq_sort_key
 
 from conftest import cpn_unit
 
@@ -407,6 +409,9 @@ class TestSweep:
     def test_certified_tier_solutions_equal_those_at_trunc(self, monkeypatch):
         calls = self.spy_truncations(monkeypatch)
         report = sweep(range(1, 7), 3, deg_cap=3)
+        # the one pinned sweep with n = 1, checked under PYTHONHASHSEED 0 and 1
+        digest = hashlib.sha256(render_json(sweep_payload(report)).encode()).hexdigest()
+        assert digest == "cf06c157dc1d2a9a765528858d7dcfc3ae77a4463e3caba1ae8abce0e51cb839"
         solved = [e for e in report.entries if e.status == "SOLVED"]
         assert len(solved) == 10
         assert report.trunc not in calls  # every SOLVED entry ended at a tier
@@ -414,6 +419,36 @@ class TestSweep:
             # the test's extract_constraints is the library's, not the spy
             ref = solve_system(extract_constraints(PotentialSpec.symbolic(e.n, e.support), report.trunc))
             assert (ref.status, ref.solutions) == ("SOLVED", tuple(s.assignment for s in e.solutions)), e
+
+    def test_undecided_levels_climb_to_top(self, monkeypatch):
+        # every level UNRESOLVED: one system per t from the start to top, and
+        # the entry names the remnants of the last
+        remnant = (CoefPoly.var(EINSTEIN_NAME),)
+        monkeypatch.setattr(solver, "solve_system", lambda system: SolveOutcome("UNRESOLVED", (), None, (remnant,)))
+        screened = []
+        real_system = solver.GenericPrescreen.system
+        monkeypatch.setattr(solver.GenericPrescreen, "system", lambda self, spec: screened.append(spec) or real_system(self, spec))
+        calls = self.spy_truncations(monkeypatch)
+        entry = solver._solve_one_spec((2, 1, ((1, 1),), 6))  # quadratic: starts at deg P + 1
+        assert (calls, screened) == ([3, 4, 5, 6], [])
+        assert (entry.status, entry.solutions, entry.witness, entry.note) == ("UNRESOLVED", (), None, repr(remnant))
+        calls.clear()
+        entry = solver._solve_one_spec((2, 1, ((0, 3),), 6))  # cubic: t = 2 off the generic residual
+        assert (calls, len(screened)) == ([3, 4, 5, 6], 1)
+        assert (entry.status, entry.note) == ("UNRESOLVED", repr(remnant))
+
+    @pytest.mark.parametrize("n, support, status, witness", [
+        (1, ((2,), (3,)), "SOLVED", None),  # CP^1 scaled(3)
+        (2, ((1, 1), (0, 3), (2, 1)), "INFEASIBLE", "a(0,3)"),
+    ])
+    def test_climb_stops_at_the_first_proof(self, monkeypatch, n, support, status, witness):
+        # t = 2 is read off the generic residual and leaves both undecided;
+        # t = 3 decides them, below the deg P + 1 a fixed tier would use
+        calls = self.spy_truncations(monkeypatch)
+        entry = solver._solve_one_spec((n, len(support), support, 5))
+        assert calls == [3]
+        assert (entry.status, entry.witness) == (status, witness)
+        assert entry.note == ("prescreen" if status == "INFEASIBLE" else "")
 
     def test_n2_quadratic_matches_known_models(self):
         report = sweep([2], 3, deg_cap=2)
@@ -705,22 +740,8 @@ def test_generic_prescreen_is_built_per_sweep_and_per_dimension(monkeypatch):
             assert len(held) == 1, (n, held)
 
 
-def test_sweep_refuses_a_truncation_below_its_floor(monkeypatch):
-    calls = []
-    monkeypatch.setattr(solver, "enumerate_supports", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match="below 2"):
-        sweep([2], 1, deg_cap=3, trunc=1)
-    with pytest.raises(ValueError, match="below 1"):
-        sweep([7], 3, deg_cap=2, trunc=0)
-    assert calls == []
-    assert solver.sweep_min_truncation([2], 1, 3) == 2
-    assert solver.sweep_min_truncation([2], 0, 3) == 1
-    assert solver.sweep_min_truncation([5, 7], 2, 4) == 1
-    assert solver.sweep_min_truncation([4, 7], 2, 4) == 3
-
-
 def test_sweep_at_its_floor_decides_every_entry():
-    report = sweep([2], 1, deg_cap=3, trunc=3)
+    report = sweep([2], 1, deg_cap=3)
     assert report.counts() == {"SOLVED": 2, "INFEASIBLE": 3, "UNRESOLVED": 0, "SHORTCUT": 0}
 
 
@@ -737,6 +758,22 @@ def test_sweep_refuses_more_candidate_supports_than_its_cap(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("dims, deg_cap", [([1], 34), ([2], 16)])
+def test_sweep_refuses_a_degree_cap_above_its_cap(dims, deg_cap):
+    # without the cap these ran 32 s and over 200 s, nearly all in building
+    # generic residuals
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"degree cap {deg_cap} is above the cap of {solver.MAX_SWEEP_DEG_CAP}"):
+        sweep(dims, 1, deg_cap=deg_cap)
+    assert time.perf_counter() - start < 1
+
+
+def test_sweep_refuses_a_degree_cap_below_2():
+    # the climb would start above its top deg_cap + 2
+    with pytest.raises(ValueError, match="deg_cap must be >= 2"):
+        sweep([2], 0, deg_cap=-1)
+
+
 def test_candidate_support_cap_admits_the_documented_sweeps():
     cap = solver.MAX_CANDIDATE_SUPPORTS
     assert solver.candidate_support_count(6, 3, 4) == 1394408 <= cap
@@ -744,5 +781,9 @@ def test_candidate_support_cap_admits_the_documented_sweeps():
     solver.check_sweep_work(range(1, 7), 3, 4)
     solver.check_sweep_work(range(1, 9), 3, 3)
     # dimensions above 2 k_max are not enumerated, so they are not counted
+    # and their degree is not capped
     solver.check_sweep_work([8], 2, 8)
+    solver.check_sweep_work([1, 2], 1, solver.MAX_SWEEP_DEG_CAP)
+    with pytest.raises(ValueError, match="degree cap"):
+        solver.check_sweep_work([1, 8], 2, solver.MAX_SWEEP_DEG_CAP + 1)
     assert solver.candidate_support_count(8, 3, 4) > cap
