@@ -128,8 +128,8 @@ class PotentialSpec:
         return PotentialSpec(self.n, tuple(new), induced=self.induced)
 
     @staticmethod
-    def symbolic(n: int, monomials: Sequence[MultiIndex], induced: bool = True) -> "PotentialSpec":
-        return PotentialSpec(n, tuple((tuple(m), support_unknown(tuple(m))) for m in monomials), induced=induced)
+    def symbolic(n: int, monomials: Sequence[MultiIndex]) -> "PotentialSpec":
+        return PotentialSpec(n, tuple((tuple(m), support_unknown(tuple(m))) for m in monomials))
 
 
 @dataclass(frozen=True)

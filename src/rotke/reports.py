@@ -61,6 +61,14 @@ def _parse_coef(raw, where: str) -> Union[Fraction, str]:
     raise SpecFileError(f'{where}: coefficient must be a "p/q" string or {{"sym": name}}')
 
 
+def _parse_list(data: dict, key: str, where: str) -> list:
+    """data[key] (an empty list when absent), which must be a JSON list."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise SpecFileError(f"{where}.{key}: must be a list")
+    return value
+
+
 def _parse_entry(entry, n: int, where: str, min_degree: int = 0) -> Tuple[Tuple[int, ...], Union[Fraction, str]]:
     """One {"exponents": [...], "coef": ...} entry of a monomial list."""
     if not isinstance(entry, dict) or "exponents" not in entry or "coef" not in entry:
@@ -79,12 +87,9 @@ def parse_spec(data: dict, where: str = "spec") -> Tuple[PotentialSpec, Optional
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: expected a JSON object")
     n = parse_n(data, where)
-    monomials = data.get("monomials", [])
-    if not isinstance(monomials, list):
-        raise SpecFileError(f'{where}.monomials: must be a list')
     support = []
     names_seen = set()
-    for i, entry in enumerate(monomials):
+    for i, entry in enumerate(_parse_list(data, "monomials", where)):
         loc = f"{where}.monomials[{i}]"
         exps, coef = _parse_entry(entry, n, loc)
         if isinstance(coef, str):
@@ -134,10 +139,10 @@ def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
         raise SpecFileError(f"{where}: expected a JSON object")
     n = parse_n(data, where)
 
-    def parse_terms(entries, loc):
+    def parse_terms(key):
         terms = {}
-        for i, entry in enumerate(entries):
-            sub = f"{loc}[{i}]"
+        for i, entry in enumerate(_parse_list(data, key, where)):
+            sub = f"{where}.{key}[{i}]"
             exps, coef = _parse_entry(entry, n, sub, min_degree=1)
             if not isinstance(coef, Fraction):
                 raise SpecFileError(f"{sub}.coef: potentials must be numeric")
@@ -145,7 +150,7 @@ def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
         return terms
 
     if "series" in data:
-        return Series(n, trunc, parse_terms(data["series"], f"{where}.series"))
+        return Series(n, trunc, parse_terms("series"))
     if "log_monomials" in data:
         scale = Fraction(1)
         if "log_scale" in data:
@@ -153,7 +158,7 @@ def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
                 scale = parse_rational(data["log_scale"])
             except ValueError as exc:
                 raise SpecFileError(f"{where}.log_scale: {exc}") from None
-        arg = Series(n, trunc, parse_terms(data["log_monomials"], f"{where}.log_monomials"))
+        arg = Series(n, trunc, parse_terms("log_monomials"))
         return series_log1p(arg).scale(scale)
     if "monomials" in data:
         spec, _ = parse_spec(data, where)
@@ -237,7 +242,7 @@ def constraints_payload(system: ConstraintSystem, trunc: int) -> dict:
         "unknowns": [u.name for u in system.unknowns],
         "positivity": sorted(system.positivity),
         "equations": [
-            {"residual_monomial": list(m), "equation": repr(eq) + " = 0"}
+            {"residual_monomial": list(m), "equation": repr(eq.normalized()) + " = 0"}
             for m, eq in zip(system.residual_monomials, system.equations)
         ],
     }

@@ -58,22 +58,12 @@ class EngineError(RuntimeError):
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Equations in the unknowns, each = 0, with the unknowns of `positivity`
-    constrained to be > 0.
-
-    The equations are stored normalized (`CoefPoly.normalized`): the
-    constructor normalizes them, whoever builds the system.  So
-    `extract_constraints` and `GenericPrescreen.system` hand over raw
-    residual coefficients and each equation is normalized exactly once, and
-    `solve_system` reads them without normalizing again.
-    """
+    constrained to be > 0."""
 
     unknowns: Tuple[Unknown, ...]
     equations: Tuple[CoefPoly, ...]
     positivity: frozenset
     residual_monomials: Tuple[MultiIndex, ...]  # provenance, one per equation
-
-    def __post_init__(self):
-        object.__setattr__(self, "equations", tuple(eq.normalized() for eq in self.equations))
 
 
 @dataclass(frozen=True)
@@ -97,9 +87,7 @@ def extract_constraints(spec: PotentialSpec, trunc: int) -> ConstraintSystem:
     symbolic Einstein constant; ordered by (degree, graded-lex monomial).
 
     The coefficients are read off the integral multiple q R of
-    `ma_log_residual_numerator` (q = 2 lcm(1..trunc)), not off R itself:
-    `normalized` divides out the content and fixes the sign of the leading
-    term, so a positive factor q leaves every equation unchanged.
+    `ma_log_residual_numerator` (q = 2 lcm(1..trunc)), not off R itself.
 
     Any trunc >= max(d - 1, 1), d = deg_x P, is allowed.  A support monomial
     of degree d first enters R at degree d - 1, linearly (through Q_a =
@@ -126,10 +114,10 @@ def _generic_residual(n: int, d: int) -> Tuple[Tuple[MultiIndex, ...], Dict[Tupl
 
     The generic support holds every monomial of degree 2..d; its residual is
     built through `ma_log_residual_numerator` exactly as `extract_constraints`
-    builds a support's, but its coefficients are not normalized.  Returns the
-    residual monomials in grlex order and, per tuple of support unknowns (by
-    name, sorted, lambda left out), the terms that hold exactly those
-    unknowns, keyed by the index of their residual monomial.
+    builds a support's.  Returns the residual monomials in grlex order and,
+    per tuple of support unknowns (by name, sorted, lambda left out), the
+    terms that hold exactly those unknowns, keyed by the index of their
+    residual monomial.
     """
     spec = PotentialSpec.symbolic(n, [m for deg in range(2, d + 1) for m in monomials_of_degree(n, deg)])
     _, qR = ma_log_residual_numerator(build_potential(spec, d), CoefPoly.var(EINSTEIN_NAME), d - 1)
@@ -152,8 +140,7 @@ class GenericPrescreen:
     support unknowns all belong to the support.  Its equation at x^m merges
     the groups of `_generic_residual` at m over the subsets of its unknowns;
     the groups hold disjoint terms, so the merge is a union, and an equation
-    with no group vanishes and is dropped.  `ConstraintSystem` normalizes
-    the merged equations, which gives the same system as
+    with no group vanishes and is dropped.  This gives the same system as
     `extract_constraints`: the same equations in the same order, with the
     same residual monomials.
 
@@ -366,7 +353,7 @@ class _Search:
 
     # -- simplification ------------------------------------------------------
 
-    def _clean(self, eqs: Iterable[CoefPoly], normalized: bool = False):
+    def _clean(self, eqs: Iterable[CoefPoly]):
         """Strip monomial factors in positive unknowns, normalize, drop zeros
         and duplicates, and sort by `_eq_sort_key`; returns (equations,
         contradiction_witness).
@@ -377,13 +364,8 @@ class _Search:
         contradiction are never substituted, and nothing is normalized until
         every equation has been read.  The witness is the first rejected
         equation, as in an eager scan in the same order.
-
-        normalized=True says the equations are already normalized (those of
-        a `ConstraintSystem` and of `_gauss`); then only a stripped equation
-        is normalized, since stripping can change its leading term.
         """
-        out = set()
-        pending = []
+        kept = []
         for eq in eqs:
             if eq.is_zero():
                 continue
@@ -395,13 +377,9 @@ class _Search:
                 if stripped.is_constant():
                     # c * u^k = 0 with u > 0 contradicts positivity
                     return [], eq.normalized()
-                pending.append(stripped)
-            elif normalized:
-                out.add(eq)
-            else:
-                pending.append(eq)
-        out.update(eq.normalized() for eq in pending)
-        return _sorted_equations(out), None
+                eq = stripped
+            kept.append(eq)
+        return _sorted_equations({eq.normalized() for eq in kept}), None
 
     def _sign_infeasible(self, eq: CoefPoly) -> bool:
         """Positive combination of positive quantities cannot vanish."""
@@ -477,19 +455,13 @@ class _Search:
 
     # -- main recursion -------------------------------------------------------
 
-    def run(
-        self,
-        eqs: Iterable[CoefPoly],
-        bindings: List[Tuple[str, CoefPoly]],
-        depth: int = 0,
-        normalized: bool = False,
-    ):
-        """Decide the branch of eqs under bindings; normalized as in `_clean`."""
+    def run(self, eqs: Iterable[CoefPoly], bindings: List[Tuple[str, CoefPoly]], depth: int = 0):
+        """Decide the branch of eqs under bindings."""
         if depth > _MAX_SEARCH_DEPTH:
             self.remnants.append(tuple(eqs))
             return
         while True:
-            eqs, contradiction = self._clean(eqs, normalized)
+            eqs, contradiction = self._clean(eqs)
             if contradiction is not None:
                 self.witnesses.append(contradiction)
                 return
@@ -509,11 +481,11 @@ class _Search:
                 bindings = bindings + [(name, expr)]
                 binding = {name: expr}
                 # read lazily by the next `_clean`, which may stop early
-                eqs, normalized = (e.substitute(binding) for e in rest), False
+                eqs = (e.substitute(binding) for e in rest)
                 continue
             reduced = self._gauss(eqs)
             if set(reduced) != set(eqs):
-                eqs, normalized = reduced, True
+                eqs = reduced
                 continue
             if self._univariate_step(eqs, bindings, depth):
                 return
@@ -603,9 +575,16 @@ def solve_system(system: ConstraintSystem) -> SolveOutcome:
 
     Status is UNRESOLVED whenever any branch could not be decided; INFEASIBLE
     outcomes carry a witness equation that contradicts positivity.
+
+    The equations may come unnormalized, as the raw q R coefficients of
+    `extract_constraints` do: the search normalizes each one it keeps
+    (`CoefPoly.normalized` divides out the content and fixes the sign of the
+    leading term), so a positive factor q leaves every equation unchanged.
+    Only a nonzero constant is returned as it stands, and no extracted
+    equation is one: each holds lambda through log P.
     """
     search = _Search(system)
-    search.run(system.equations, [], normalized=True)
+    search.run(system.equations, [])
     solutions = tuple(sorted(set(search.solutions)))
     if search.remnants:
         return SolveOutcome("UNRESOLVED", solutions, None, tuple(search.remnants))
@@ -823,7 +802,7 @@ def _certified_entry(n: int, k: int, support, spec: PotentialSpec, outcome: Solv
     return SweepEntry(n, k, support, "SOLVED", tuple(solutions))
 
 
-def _solve_one_spec(args, prescreen: Optional[GenericPrescreen] = None) -> SweepEntry:
+def _solve_one_spec(task: Tuple[PotentialSpec, int], prescreen: GenericPrescreen) -> SweepEntry:
     """Decide one support from its equations of degree <= t, for t from
     d - 1 up to top (d = deg_x P; every unknown enters at d - 1, and for
     d <= 2 the climb starts at d + 1, as t = 1 holds only the linear block).
@@ -836,14 +815,14 @@ def _solve_one_spec(args, prescreen: Optional[GenericPrescreen] = None) -> Sweep
       a true solution (the certificate is exact both ways), so S_t <= T and
       the three sets are equal.
 
-    Anything else goes on to t + 1, and at top it is the entry.  The
-    t = d - 1 system is read off `prescreen` (`GenericPrescreen`).
+    Anything else goes on to t + 1, and at top it is the entry.  The task
+    is (spec, top), and the t = d - 1 system is read off `prescreen`.
     """
-    n, k, support, top = args
-    spec = PotentialSpec.symbolic(n, support)
+    spec, top = task
+    n, k, support = spec.n, spec.codimension, tuple(m for m, _ in spec.support)
     d = spec.max_degree()
     for t in range(d - 1 if d >= 3 else d + 1, top + 1):
-        system = (prescreen or GenericPrescreen()).system(spec) if t == d - 1 else extract_constraints(spec, t)
+        system = prescreen.system(spec) if t == d - 1 else extract_constraints(spec, t)
         outcome = solve_system(system)
         if outcome.status == "INFEASIBLE":
             return SweepEntry(n, k, support, "INFEASIBLE", (), repr(outcome.witness), "prescreen" if t < top else "")
@@ -873,6 +852,14 @@ MAX_CANDIDATE_SUPPORTS = 2_000_000
 MAX_SWEEP_DEG_CAP = 6
 
 
+# Largest k_max `sweep` takes, checked before the candidate count: that
+# count sums k_max + 1 big-integer binomials, and with k_max = deg_cap in one
+# variable it took 1.4 s at 5,000 on one core of a 2-core x86-64 sandbox
+# (Python 3.11).  At k_max <= 8 it takes under a millisecond for any deg_cap.
+# The paper needs k <= 3.
+MAX_SWEEP_CODIM = 8
+
+
 def candidate_support_count(n: int, k_max: int, deg_cap: int) -> int:
     """sum_{j <= k_max} C(M_n, j), M_n the number of monomials of degree
     2..deg_cap in n variables: the supports of size <= k_max before the
@@ -882,9 +869,12 @@ def candidate_support_count(n: int, k_max: int, deg_cap: int) -> int:
 
 
 def check_sweep_work(dims: Iterable[int], k_max: int, deg_cap: int) -> None:
-    """Raise ValueError when a dimension that `sweep` enumerates (n <= 2 k_max)
-    has more than MAX_CANDIDATE_SUPPORTS candidate supports, or, when any is
-    enumerated, deg_cap exceeds MAX_SWEEP_DEG_CAP."""
+    """Raise ValueError when k_max exceeds MAX_SWEEP_CODIM, when a dimension
+    that `sweep` enumerates (n <= 2 k_max) has more than
+    MAX_CANDIDATE_SUPPORTS candidate supports, or, when any is enumerated,
+    deg_cap exceeds MAX_SWEEP_DEG_CAP."""
+    if k_max > MAX_SWEEP_CODIM:
+        raise ValueError(f"codimension {k_max} is above the cap of {MAX_SWEEP_CODIM}")
     enumerated = [n for n in sorted(set(dims)) if n <= 2 * k_max]
     for n in enumerated:
         count = candidate_support_count(n, k_max, deg_cap)
@@ -906,8 +896,8 @@ def _start_worker() -> None:
     _worker_prescreen = GenericPrescreen()
 
 
-def _solve_in_worker(args) -> SweepEntry:
-    return _solve_one_spec(args, _worker_prescreen)
+def _solve_in_worker(task) -> SweepEntry:
+    return _solve_one_spec(task, _worker_prescreen)
 
 
 def sweep(
@@ -941,7 +931,7 @@ def sweep(
     tasks = []
     shortcut_entries = []
     for n in dims:
-        tasks.append((n, 0, (), top))
+        tasks.append((PotentialSpec(n, ()), top))
         shortcut_entries += [
             SweepEntry(n, k, (), "SHORTCUT", (), None, f"n > 2k: only the totally geodesic CP^{n}")
             for k in range(1, k_max + 1)
@@ -950,7 +940,7 @@ def sweep(
         if n <= 2 * k_max:  # otherwise every k >= 1 is a SHORTCUT
             for spec in enumerate_supports(n, k_max, deg_cap):
                 if n <= 2 * spec.codimension:  # k = 0 is the task above
-                    tasks.append((n, spec.codimension, tuple(m for m, _ in spec.support), top))
+                    tasks.append((spec, top))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

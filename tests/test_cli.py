@@ -12,7 +12,7 @@ from rotke import PotentialSpec
 from rotke.algebra import monomials_up_to
 from rotke.cli import main
 from rotke.reports import SpecFileError, emit_spec, parse_potential, parse_spec
-from rotke.solver import MAX_CANDIDATE_SUPPORTS, MAX_SWEEP_DEG_CAP, ClassificationReport
+from rotke.solver import MAX_CANDIDATE_SUPPORTS, MAX_SWEEP_CODIM, MAX_SWEEP_DEG_CAP, ClassificationReport
 
 from conftest import rand_spec
 
@@ -114,6 +114,22 @@ class TestSpecFiles:
     def test_potential_files_reject_booleans(self, payload, field):
         with pytest.raises(SpecFileError, match=re.escape(field + ":")):
             parse_potential(payload, 4)
+
+    @pytest.mark.parametrize("key", ["series", "log_monomials", "monomials"])
+    @pytest.mark.parametrize("value", [5, "ab", {"exponents": [2], "coef": "1"}])
+    def test_monomial_lists_must_be_lists(self, key, value):
+        with pytest.raises(SpecFileError, match=re.escape(f"potential.{key}: must be a list")):
+            parse_potential({"n": 1, key: value}, 4)
+        if key == "monomials":
+            with pytest.raises(SpecFileError, match=re.escape("spec.monomials: must be a list")):
+                parse_spec({"n": 1, key: value})
+
+    @pytest.mark.parametrize("command", ["induced", "normalize"])
+    def test_non_list_series_is_a_usage_error(self, command, tmp_path, capsys):
+        # once a TypeError traceback and exit 1, the FAIL verdict
+        spec = write(tmp_path, "p.json", {"n": 1, "series": 5})
+        assert main([command, "--spec", spec]) == 2
+        assert f"{spec}.series: must be a list" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -350,6 +366,14 @@ class TestSweepCommand:
         # without --deg-cap the cap is max(max-codim, 2)
         assert main(["sweep", "--dims", "2..2", "--max-codim", "8"]) == 2
         assert "degree <= 8" in capsys.readouterr().err
+
+    def test_codimension_above_its_cap_is_a_usage_error(self, monkeypatch, capsys):
+        # without the cap the candidate count alone ran past 20 s
+        monkeypatch.setattr(rotke.cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+        start = time.perf_counter()
+        assert main(["sweep", "--dims", "1..1", "--max-codim", "20000"]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"codimension 20000 is above the cap of {MAX_SWEEP_CODIM}" in capsys.readouterr().err
 
     def test_degree_cap_above_its_cap_is_a_usage_error(self, capsys):
         # without the cap this was still running after 120 s

@@ -34,7 +34,7 @@ from rotke.algebra import (
 )
 from rotke.geometry import Certificate
 from rotke.oracle import mi_permute
-from rotke.reports import render_json, sweep_payload
+from rotke.reports import constraints_payload, render_json, sweep_payload
 from rotke.solver import SolveOutcome, _eq_sort_key
 
 from conftest import cpn_unit
@@ -49,6 +49,11 @@ def eqs_by_monomial(system):
 
 
 LAM = CoefPoly.var(EINSTEIN_NAME)
+
+
+def solve_one(n, support, top):
+    """The sweep entry of one support climbing to top."""
+    return solver._solve_one_spec((PotentialSpec.symbolic(n, support), top), solver.GenericPrescreen())
 
 
 def set_partitions(items):
@@ -371,7 +376,7 @@ class TestSweep:
 
     def test_certified_solved_tier_ends_the_climb(self, monkeypatch):
         calls = self.spy_truncations(monkeypatch)
-        entry = solver._solve_one_spec((2, 1, ((1, 1),), 4))  # Segre, lambda = 4
+        entry = solve_one(2, ((1, 1),), 4)  # Segre, lambda = 4
         assert calls == [3]  # the t = deg P + 1 tier, and no call at trunc
         assert (entry.status, entry.witness, entry.note) == ("SOLVED", None, "")
         [sol] = entry.solutions
@@ -389,11 +394,11 @@ class TestSweep:
 
         calls = self.spy_truncations(monkeypatch)
         monkeypatch.setattr(solver, "certify_exact", fail_first)
-        entry = solver._solve_one_spec((2, 1, ((1, 1),), 4))
+        entry = solve_one(2, ((1, 1),), 4)
         assert calls == [3, 4] and certified == [4, 4]
         assert (entry.status, entry.note) == ("SOLVED", "")
         # the same entry as when the tier's certificate passes
-        assert entry == solver._solve_one_spec((2, 1, ((1, 1),), 4))
+        assert entry == solve_one(2, ((1, 1),), 4)
 
     def test_failed_certificate_leaves_solution_unresolved(self, monkeypatch):
         def fail(cand):
@@ -401,7 +406,7 @@ class TestSweep:
 
         calls = self.spy_truncations(monkeypatch)
         monkeypatch.setattr(solver, "certify_exact", fail)
-        entry = solver._solve_one_spec((2, 1, ((1, 1),), 4))  # Segre, lambda = 4
+        entry = solve_one(2, ((1, 1),), 4)  # Segre, lambda = 4
         assert calls == [3, 4]
         assert (entry.status, entry.solutions) == ("UNRESOLVED", ())
         assert entry.note.startswith("certificate failed for ")
@@ -429,11 +434,11 @@ class TestSweep:
         real_system = solver.GenericPrescreen.system
         monkeypatch.setattr(solver.GenericPrescreen, "system", lambda self, spec: screened.append(spec) or real_system(self, spec))
         calls = self.spy_truncations(monkeypatch)
-        entry = solver._solve_one_spec((2, 1, ((1, 1),), 6))  # quadratic: starts at deg P + 1
+        entry = solve_one(2, ((1, 1),), 6)  # quadratic: starts at deg P + 1
         assert (calls, screened) == ([3, 4, 5, 6], [])
         assert (entry.status, entry.solutions, entry.witness, entry.note) == ("UNRESOLVED", (), None, repr(remnant))
         calls.clear()
-        entry = solver._solve_one_spec((2, 1, ((0, 3),), 6))  # cubic: t = 2 off the generic residual
+        entry = solve_one(2, ((0, 3),), 6)  # cubic: t = 2 off the generic residual
         assert (calls, len(screened)) == ([3, 4, 5, 6], 1)
         assert (entry.status, entry.note) == ("UNRESOLVED", repr(remnant))
 
@@ -445,7 +450,7 @@ class TestSweep:
         # t = 2 is read off the generic residual and leaves both undecided;
         # t = 3 decides them, below the deg P + 1 a fixed tier would use
         calls = self.spy_truncations(monkeypatch)
-        entry = solver._solve_one_spec((n, len(support), support, 5))
+        entry = solve_one(n, support, 5)
         assert calls == [3]
         assert (entry.status, entry.witness) == (status, witness)
         assert entry.note == ("prescreen" if status == "INFEASIBLE" else "")
@@ -492,7 +497,7 @@ class EagerSearch(solver._Search):
     equation is substituted into, normalized and sorted before the first
     contradiction is read.  The reference `solve_system` is compared with."""
 
-    def _clean(self, eqs, normalized=False):
+    def _clean(self, eqs):
         out = set()
         for eq in eqs:
             if eq.is_zero():
@@ -508,7 +513,7 @@ class EagerSearch(solver._Search):
             out.add(eq.normalized())
         return sorted(out, key=_eq_sort_key), None
 
-    def run(self, eqs, bindings, depth=0, normalized=False):
+    def run(self, eqs, bindings, depth=0):
         if depth > solver._MAX_SEARCH_DEPTH:
             self.remnants.append(tuple(eqs))
             return
@@ -577,15 +582,16 @@ def test_lazy_search_equals_the_eager_reference(monkeypatch, dims, deg_cap):
         assert outcome_key(outcome) == outcome_key(eager_outcome(system)), system.unknowns
 
 
-def test_hand_built_system_is_normalized():
-    # rescaled equations give the normalized system and the same outcome
+def test_rescaled_system_gives_the_same_outcome():
+    # the search normalizes each equation it keeps, so a factor per equation
+    # changes neither the outcome nor the constraints report
     cases = [(2, ((1, 1),), 3, "SOLVED"), (2, ((1, 1), (0, 3)), 2, "INFEASIBLE"), (1, ((2,), (3,), (4,)), 3, "UNRESOLVED")]
     for n, support, t, status in cases:
         system = extract_constraints(PotentialSpec.symbolic(n, support), t)
         scaled = tuple(eq.scale(Fraction(-(i + 2), 3)) for i, eq in enumerate(system.equations))
         assert any(eq != eq.normalized() for eq in scaled)
         hand = solver.ConstraintSystem(system.unknowns, scaled, system.positivity, system.residual_monomials)
-        assert hand.equations == system.equations
+        assert constraints_payload(hand, t) == constraints_payload(system, t)
         outcome = solve_system(hand)
         assert outcome.status == status
         assert outcome_key(outcome) == outcome_key(solve_system(system))
@@ -648,8 +654,10 @@ def test_infeasible_witness_does_not_depend_on_hash_seed():
     """Two unknowns are nonpositive at this leaf; the reported one must not
     follow the iteration order of a set of strings."""
     code = (
-        "from rotke.solver import _solve_one_spec\n"
-        "print(_solve_one_spec((2, 3, ((1, 1), (0, 3), (2, 1)), 5)).witness)\n"
+        "from rotke import PotentialSpec\n"
+        "from rotke.solver import GenericPrescreen, _solve_one_spec\n"
+        "spec = PotentialSpec.symbolic(2, ((1, 1), (0, 3), (2, 1)))\n"
+        "print(_solve_one_spec((spec, 5), GenericPrescreen()).witness)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     witnesses = set()
@@ -673,7 +681,7 @@ def test_equations_are_normalized_residual_coefficients():
             R = ma_log_residual(build_potential(spec, trunc), LAM)
             want = [(m, c.normalized()) for m, c in R.sorted_terms()]
             system = extract_constraints(spec, trunc)
-            assert list(zip(system.residual_monomials, system.equations)) == want, spec
+            assert [(m, eq.normalized()) for m, eq in zip(system.residual_monomials, system.equations)] == want, spec
 
 
 def test_low_truncation_equations_are_a_degree_prefix():
@@ -687,9 +695,10 @@ def test_low_truncation_equations_are_a_degree_prefix():
             d = spec.max_degree()
             full = extract_constraints(spec, d + 2)
             for t in range(max(d - 1, 1), d + 2):
-                want = [(m, eq) for m, eq in zip(full.residual_monomials, full.equations) if sum(m) <= t]
+                want = [(m, eq.normalized()) for m, eq in zip(full.residual_monomials, full.equations) if sum(m) <= t]
                 system = extract_constraints(spec, t)
-                assert list(zip(system.residual_monomials, system.equations)) == want, (spec, t)
+                got = [(m, eq.normalized()) for m, eq in zip(system.residual_monomials, system.equations)]
+                assert got == want, (spec, t)
                 assert system.unknowns == full.unknowns
 
 
@@ -766,6 +775,15 @@ def test_sweep_refuses_a_degree_cap_above_its_cap(dims, deg_cap):
     with pytest.raises(ValueError, match=f"degree cap {deg_cap} is above the cap of {solver.MAX_SWEEP_DEG_CAP}"):
         sweep(dims, 1, deg_cap=deg_cap)
     assert time.perf_counter() - start < 1
+
+
+def test_sweep_refuses_a_codimension_above_its_cap():
+    # the candidate cap admits this one (n = 1 has 5 monomials of degree
+    # 2..6); the codimension cap refuses it before counting
+    assert solver.candidate_support_count(1, 9, 6) <= solver.MAX_CANDIDATE_SUPPORTS
+    with pytest.raises(ValueError, match=f"codimension 9 is above the cap of {solver.MAX_SWEEP_CODIM}"):
+        sweep([1], 9, deg_cap=6)
+    solver.check_sweep_work([1], solver.MAX_SWEEP_CODIM, 6)
 
 
 def test_sweep_refuses_a_degree_cap_below_2():
