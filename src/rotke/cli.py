@@ -16,7 +16,6 @@ from math import comb
 from . import reports
 from .algebra import parse_rational
 from .geometry import (
-    MAX_DIMENSION,
     EinsteinCandidate,
     bochner_normalize,
     build_potential,
@@ -78,9 +77,12 @@ def _dims_arg(raw: str):
     return (a, b)
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+def _emit(args, payload: dict, text_fn) -> None:
+    """Write payload as JSON or as text_fn renders it (--format), to --out
+    or stdout."""
+    text = reports.render_json(payload) if args.format == "json" else text_fn(payload)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -178,8 +180,7 @@ def cmd_verify(args) -> int:
     else:
         cert = certify_exact(EinsteinCandidate(spec, lam))
         payload = reports.verify_payload(spec, cert)
-    text = reports.render_json(payload) if args.format == "json" else reports.verify_text(payload)
-    _emit(text, args.out)
+    _emit(args, payload, reports.verify_text)
     return PASS if payload["status"] == "PASS" else FAIL
 
 
@@ -193,35 +194,27 @@ def cmd_constraints(args) -> int:
     _check_terms(spec.n, trunc)
     system = extract_constraints(spec, trunc)
     payload = reports.constraints_payload(system, trunc)
-    text = reports.render_json(payload) if args.format == "json" else reports.constraints_text(payload)
-    _emit(text, args.out)
+    _emit(args, payload, reports.constraints_text)
     return PASS
 
 
 def cmd_sweep(args) -> int:
     a, b = args.dims
-    if b > MAX_DIMENSION:
-        raise _Usage(f"--dims must lie in 1..{MAX_DIMENSION}")
-    if args.max_codim < 0:
-        raise _Usage("--max-codim must be >= 0")
-    if args.deg_cap is not None and args.deg_cap < 2:
-        raise _Usage("--deg-cap must be >= 2")
-    deg_cap = args.deg_cap if args.deg_cap is not None else max(args.max_codim, 2)
+    dims = range(a, b + 1)
     try:
-        check_sweep_work(range(a, b + 1), args.max_codim, deg_cap)
+        check_sweep_work(dims, args.max_codim, args.deg_cap)
     except ValueError as exc:
-        raise _Usage(f"{exc}; lower --max-codim or --deg-cap")
+        raise _Usage(str(exc))
     if args.jobs < 1:
         raise _Usage("--jobs must be >= 1")
     report = sweep(
-        range(a, b + 1),
+        dims,
         args.max_codim,
         deg_cap=args.deg_cap,
         jobs=min(args.jobs, os.cpu_count() or 1),
     )
     payload = reports.sweep_payload(report)
-    text = reports.render_json(payload) if args.format == "json" else reports.sweep_text(payload)
-    _emit(text, args.out)
+    _emit(args, payload, reports.sweep_text)
     counts = report.counts()
     ok = counts.get("UNRESOLVED", 0) == 0 and not report.has_unknown()
     return PASS if ok else FAIL
@@ -233,8 +226,7 @@ def cmd_induced(args) -> int:
     phi = _load_potential(args)
     report = projective_induction_check(phi)
     payload = reports.induced_payload(report)
-    text = reports.render_json(payload) if args.format == "json" else reports.induced_text(payload)
-    _emit(text, args.out)
+    _emit(args, payload, reports.induced_text)
     return PASS if report.induced_up_to_trunc else FAIL
 
 
@@ -247,8 +239,7 @@ def cmd_normalize(args) -> int:
     except ValueError as exc:
         raise _Usage(str(exc))
     payload = reports.normalize_payload(normalized, scaling)
-    text = reports.render_json(payload) if args.format == "json" else reports.normalize_text(payload)
-    _emit(text, args.out)
+    _emit(args, payload, reports.normalize_text)
     return PASS
 
 
@@ -268,11 +259,7 @@ def cmd_oracle_check(args) -> int:
         "terms": len(fast.terms),
         "spec": reports.emit_spec(spec),
     }
-    if args.format == "json":
-        text = reports.render_json(payload)
-    else:
-        text = f"{'status':<12}{payload['status']}\n{'terms':<12}{payload['terms']}\n"
-    _emit(text, args.out)
+    _emit(args, payload, lambda p: f"{'status':<12}{p['status']}\n{'terms':<12}{p['terms']}\n")
     return PASS if match else FAIL
 
 

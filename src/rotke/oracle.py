@@ -200,10 +200,6 @@ def zspace_det_numerator(spec: PotentialSpec) -> BiPoly:
     return det
 
 
-def rotation_project(b: BiPoly, assert_lossless: bool = False) -> Dict[MultiIndex, Fraction]:
+def rotation_project(b: BiPoly) -> Dict[MultiIndex, Fraction]:
     """Keep the terms with equal z and zbar exponents, rewritten in x."""
-    kept = {mz: v for (mz, mb), v in b.terms.items() if mz == mb}
-    if assert_lossless and len(kept) != len(b.terms):
-        dropped = {k: v for k, v in b.terms.items() if k[0] != k[1]}
-        raise AssertionError(f"rotation projection dropped terms: {dropped}")
-    return kept
+    return {mz: v for (mz, mb), v in b.terms.items() if mz == mb}

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .algebra import Unknown, format_rational, parse_rational
+from .algebra import EINSTEIN_NAME, Unknown, format_rational, parse_rational
 from .geometry import Certificate, InductionReport, PotentialSpec, build_potential
 from .series import Series, series_log1p
 from .solver import ClassificationReport, ConstraintSystem
@@ -93,6 +93,8 @@ def parse_spec(data: dict, where: str = "spec") -> Tuple[PotentialSpec, Optional
         loc = f"{where}.monomials[{i}]"
         exps, coef = _parse_entry(entry, n, loc)
         if isinstance(coef, str):
+            if coef == EINSTEIN_NAME:
+                raise SpecFileError(f"{loc}.coef: symbol {coef!r} is reserved for the Einstein constant")
             if coef in names_seen:
                 raise SpecFileError(f"{loc}.coef: duplicate symbol {coef!r}")
             names_seen.add(coef)
@@ -131,13 +133,17 @@ def emit_spec(spec: PotentialSpec, lam: Optional[Fraction] = None) -> dict:
 def parse_potential(data: dict, trunc: int, where: str = "potential") -> Series:
     """Parse a potential file into the series Phi.
 
-    Three encodings: a spec file (Phi = log P), an explicit power series
-    ("series": [terms]), or a scaled log form ("log_scale", "log_monomials")
-    meaning Phi = scale * log1p(sum coef x^m).
+    Three encodings, exactly one per file: a spec file (Phi = log P), an
+    explicit power series ("series": [terms]), or a scaled log form
+    ("log_scale", "log_monomials") meaning Phi = scale * log1p(sum coef x^m).
     """
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: expected a JSON object")
     n = parse_n(data, where)
+    encodings = [key for key in ("series", "log_monomials", "monomials") if key in data]
+    if len(encodings) > 1:
+        found = " and ".join(f'"{key}"' for key in encodings)
+        raise SpecFileError(f'{where}: found {found}; need exactly one of "series", "log_monomials", or "monomials"')
 
     def parse_terms(key):
         terms = {}

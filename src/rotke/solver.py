@@ -868,14 +868,25 @@ def candidate_support_count(n: int, k_max: int, deg_cap: int) -> int:
     return sum(comb(monomials, j) for j in range(k_max + 1))
 
 
-def check_sweep_work(dims: Iterable[int], k_max: int, deg_cap: int) -> None:
-    """Raise ValueError when k_max exceeds MAX_SWEEP_CODIM, when a dimension
-    that `sweep` enumerates (n <= 2 k_max) has more than
-    MAX_CANDIDATE_SUPPORTS candidate supports, or, when any is enumerated,
-    deg_cap exceeds MAX_SWEEP_DEG_CAP."""
+def check_sweep_work(dims: Iterable[int], k_max: int, deg_cap: Optional[int] = None) -> int:
+    """The degree cap of a sweep over dims up to codimension k_max (deg_cap,
+    or max(k_max, 2) when None).  Raises ValueError for no dimension or one
+    outside 1..MAX_DIMENSION, k_max below 0 or above MAX_SWEEP_CODIM, a
+    degree cap below 2, more than MAX_CANDIDATE_SUPPORTS candidate supports
+    in a dimension `sweep` enumerates (n <= 2 k_max), or, when any is
+    enumerated, a degree cap above MAX_SWEEP_DEG_CAP."""
+    dims = sorted(set(dims))
+    if not dims or dims[0] < 1 or dims[-1] > MAX_DIMENSION:
+        raise ValueError(f"dimensions must lie in 1..{MAX_DIMENSION}")
+    if k_max < 0:
+        raise ValueError(f"codimension {k_max} is below 0")
+    if deg_cap is None:
+        deg_cap = max(k_max, 2)
+    if deg_cap < 2:
+        raise ValueError(f"degree cap {deg_cap} is below 2")
     if k_max > MAX_SWEEP_CODIM:
         raise ValueError(f"codimension {k_max} is above the cap of {MAX_SWEEP_CODIM}")
-    enumerated = [n for n in sorted(set(dims)) if n <= 2 * k_max]
+    enumerated = [n for n in dims if n <= 2 * k_max]
     for n in enumerated:
         count = candidate_support_count(n, k_max, deg_cap)
         if count > MAX_CANDIDATE_SUPPORTS:
@@ -885,6 +896,7 @@ def check_sweep_work(dims: Iterable[int], k_max: int, deg_cap: int) -> None:
             )
     if enumerated and deg_cap > MAX_SWEEP_DEG_CAP:
         raise ValueError(f"degree cap {deg_cap} is above the cap of {MAX_SWEEP_DEG_CAP} for an enumerated dimension")
+    return deg_cap
 
 
 _worker_prescreen: Optional[GenericPrescreen] = None
@@ -911,8 +923,8 @@ def sweep(
     Completeness is only claimed up to deg_cap (default max(k_max, 2)); for
     n > 2k the enumeration for codimension k is skipped and the totally
     geodesic entry recorded directly.  Each support climbs to t = deg_cap +
-    2, the report's `trunc` (`_solve_one_spec`).  A deg_cap below 2, or more
-    work than `check_sweep_work` admits, raises ValueError before any work.
+    2, the report's `trunc` (`_solve_one_spec`).  Input that `check_sweep_work`
+    refuses raises its ValueError before any work.
     Output is deterministic and independent of the worker count.
 
     The t = deg P - 1 levels read one generic residual per (n, deg P)
@@ -920,13 +932,7 @@ def sweep(
     created here, and with several each worker process builds its own.
     """
     dims = sorted(set(dims))
-    if not dims or dims[0] < 1 or dims[-1] > MAX_DIMENSION:
-        raise ValueError(f"dimensions must lie in 1..{MAX_DIMENSION}")
-    if deg_cap is None:
-        deg_cap = max(k_max, 2)
-    if deg_cap < 2:
-        raise ValueError("deg_cap must be >= 2")
-    check_sweep_work(dims, k_max, deg_cap)
+    deg_cap = check_sweep_work(dims, k_max, deg_cap)
     top = deg_cap + 2
     tasks = []
     shortcut_entries = []

@@ -124,6 +124,18 @@ class TestSpecFiles:
             with pytest.raises(SpecFileError, match=re.escape("spec.monomials: must be a list")):
                 parse_spec({"n": 1, key: value})
 
+    @pytest.mark.parametrize("keys", [
+        ("series", "log_monomials"), ("series", "monomials"), ("log_monomials", "monomials"),
+    ])
+    def test_potential_files_take_one_encoding(self, keys, tmp_path, capsys):
+        # once "series" won and the other key was dropped without a word
+        payload = {"n": 1, **{key: [{"exponents": [2], "coef": "1"}] for key in keys}}
+        found = " and ".join(f'"{key}"' for key in keys)
+        with pytest.raises(SpecFileError, match=re.escape(f"potential: found {found}; need exactly one of")):
+            parse_potential(payload, 4)
+        assert main(["induced", "--spec", write(tmp_path, "p.json", payload)]) == 2
+        assert f"found {found}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["induced", "normalize"])
     def test_non_list_series_is_a_usage_error(self, command, tmp_path, capsys):
         # once a TypeError traceback and exit 1, the FAIL verdict
@@ -253,6 +265,14 @@ class TestConstraints:
         spec = write(tmp_path, "v.json", VERONESE)
         assert main(["constraints", "--spec", spec]) == 2
 
+    def test_einstein_constant_name_is_reserved(self, tmp_path, capsys):
+        # once the support unknown silently became lambda itself
+        payload = {"n": 2, "monomials": [{"exponents": [1, 1], "coef": {"sym": "lambda"}}]}
+        spec = write(tmp_path, "lam.json", payload)
+        assert main(["constraints", "--spec", spec, "--degree", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"{spec}.monomials[0].coef: symbol 'lambda' is reserved for the Einstein constant" in err
+
     def test_degree_floor_is_the_library_floor(self, tmp_path, capsys):
         # deg P = 3: extract_constraints is exact from degree 2 up
         cubic = {"n": 2, "monomials": SYMBOLIC["monomials"] + [{"exponents": [0, 3], "coef": {"sym": "c"}}]}
@@ -342,12 +362,15 @@ class TestSweepCommand:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv,message", [
-        (["--dims", "2..9"], "--dims must lie in 1..8"),
-        (["--dims", "2..2", "--deg-cap", "1"], "--deg-cap must be >= 2"),
+        (["--dims", "2..9"], "dimensions must lie in 1..8"),
+        (["--dims", "2..2", "--deg-cap", "1"], "degree cap 1 is below 2"),
+        (["--dims", "2..2", "--max-codim", "-1"], "codimension -1 is below 0"),
     ])
-    def test_out_of_range_options_are_usage_errors(self, argv, message, capsys):
+    def test_out_of_range_options_are_usage_errors(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setattr(rotke.cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
         assert main(["sweep", *argv]) == 2
-        assert message in capsys.readouterr().err
+        # the library's message, unchanged
+        assert capsys.readouterr().err == f"rotke sweep: {message}\n"
 
     def test_degree_is_not_a_sweep_option(self, monkeypatch, capsys):
         # each support climbs its own truncation; there is no knob to set it
@@ -362,7 +385,7 @@ class TestSweepCommand:
         assert main(["sweep", "--dims", "2..2", "--max-codim", "8", "--deg-cap", "8"]) == 2
         err = capsys.readouterr().err
         assert "dimension 2 has 151229281 candidate supports of size <= 8 and degree <= 8" in err
-        assert f"more than the cap of {MAX_CANDIDATE_SUPPORTS}; lower --max-codim or --deg-cap" in err
+        assert err.endswith(f"more than the cap of {MAX_CANDIDATE_SUPPORTS}\n")
         # without --deg-cap the cap is max(max-codim, 2)
         assert main(["sweep", "--dims", "2..2", "--max-codim", "8"]) == 2
         assert "degree <= 8" in capsys.readouterr().err
@@ -373,7 +396,9 @@ class TestSweepCommand:
         start = time.perf_counter()
         assert main(["sweep", "--dims", "1..1", "--max-codim", "20000"]) == 2
         assert time.perf_counter() - start < 1
-        assert f"codimension 20000 is above the cap of {MAX_SWEEP_CODIM}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"rotke sweep: codimension 20000 is above the cap of {MAX_SWEEP_CODIM}\n"
+        assert "--deg-cap" not in err
 
     def test_degree_cap_above_its_cap_is_a_usage_error(self, capsys):
         # without the cap this was still running after 120 s
@@ -381,8 +406,7 @@ class TestSweepCommand:
         assert main(["sweep", "--dims", "1..1", "--max-codim", "1", "--deg-cap", "40"]) == 2
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
-        assert f"degree cap 40 is above the cap of {MAX_SWEEP_DEG_CAP}" in err
-        assert "lower --max-codim or --deg-cap" in err
+        assert err == f"rotke sweep: degree cap 40 is above the cap of {MAX_SWEEP_DEG_CAP} for an enumerated dimension\n"
         # a dimension above 2k is not enumerated, so its degree is not capped
         assert main(["sweep", "--dims", "3..3", "--max-codim", "1", "--deg-cap", "40"]) == 0
 

@@ -788,8 +788,24 @@ def test_sweep_refuses_a_codimension_above_its_cap():
 
 def test_sweep_refuses_a_degree_cap_below_2():
     # the climb would start above its top deg_cap + 2
-    with pytest.raises(ValueError, match="deg_cap must be >= 2"):
+    with pytest.raises(ValueError, match="degree cap -1 is below 2"):
         sweep([2], 0, deg_cap=-1)
+
+
+def test_sweep_refuses_a_negative_codimension(monkeypatch):
+    # once it returned a report with k_max -1
+    monkeypatch.setattr(solver, "enumerate_supports", lambda *args: pytest.fail("enumerated"))
+    with pytest.raises(ValueError, match="codimension -1 is below 0"):
+        sweep([2], -1)
+
+
+def test_check_sweep_work_resolves_the_degree_cap():
+    assert solver.check_sweep_work([2], 1) == 2
+    assert solver.check_sweep_work([2], 3) == 3
+    assert solver.check_sweep_work([2], 1, 4) == 4
+    for dims in ([], [0, 2], [2, solver.MAX_DIMENSION + 1]):
+        with pytest.raises(ValueError, match=f"dimensions must lie in 1..{solver.MAX_DIMENSION}"):
+            solver.check_sweep_work(dims, 1)
 
 
 def test_candidate_support_cap_admits_the_documented_sweeps():
